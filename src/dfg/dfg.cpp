@@ -214,6 +214,7 @@ Dfg Dfg::from_block(const Module& module, const Function& fn, BlockId block, dou
   std::unordered_map<std::uint32_t, NodeId> input_node;   // external value -> node
 
   const BasicBlock& bb = fn.block(block);
+  const ValueNames names(fn);
 
   // Which values are defined by non-phi instructions of this block?
   for (InstrId id : bb.instrs) {
@@ -236,7 +237,7 @@ Dfg Dfg::from_block(const Module& module, const Function& fn, BlockId block, dou
                "operand defined later in block (IR not in dataflow order)");
     auto [it, inserted] = input_node.try_emplace(v.index, NodeId{});
     if (inserted) {
-      it->second = g.add_input(value_name(fn, v));
+      it->second = g.add_input(names.name(v));
       g.node_mutable(it->second).value = v;  // AFU builders need the IR value
     }
     return it->second;
@@ -316,7 +317,7 @@ Dfg Dfg::from_block(const Module& module, const Function& fn, BlockId block, dou
     const auto it = value_node.find(ins.result.index);
     if (it == value_node.end() || !it->second.valid()) continue;
     if (live_out[ins.result.index]) {
-      g.add_output(it->second, "out:" + value_name(fn, ins.result));
+      g.add_output(it->second, "out:" + names.name(ins.result));
     }
   }
 

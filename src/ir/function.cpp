@@ -18,12 +18,9 @@ ValueId Function::param(int i) const {
 }
 
 ValueId Function::make_konst(std::int64_t literal) {
-  for (const auto& [lit, id] : konst_cache_) {
-    if (lit == literal) return id;
-  }
-  const ValueId id = new_value(ValueKind::konst, 0, literal);
-  konst_cache_.emplace_back(literal, id);
-  return id;
+  const auto [it, inserted] = konst_cache_.try_emplace(literal);
+  if (inserted) it->second = new_value(ValueKind::konst, 0, literal);
+  return it->second;
 }
 
 const ValueDef& Function::value(ValueId v) const {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/opcode.hpp"
@@ -101,7 +102,7 @@ class Function {
   std::vector<ValueDef> values_;
   std::vector<Instruction> instrs_;
   std::vector<BasicBlock> blocks_;
-  std::vector<std::pair<std::int64_t, ValueId>> konst_cache_;
+  std::unordered_map<std::int64_t, ValueId> konst_cache_;
 };
 
 }  // namespace isex

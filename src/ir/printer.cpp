@@ -1,31 +1,14 @@
 #include "ir/printer.hpp"
 
 #include <charconv>
+#include <limits>
 #include <sstream>
 
 namespace isex {
 
 namespace {
 
-/// Dense result number of an instr-kind value: instruction results are
-/// counted in (block order, program order), the only order reconstructible
-/// from the printed text. Returns false when the defining instruction is not
-/// reachable through any block list (transient pass states).
-bool dense_result_index(const Function& fn, ValueId v, std::uint32_t* out) {
-  std::uint32_t next = 0;
-  for (std::size_t bi = 0; bi < fn.num_blocks(); ++bi) {
-    for (InstrId id : fn.block(BlockId{static_cast<std::uint32_t>(bi)}).instrs) {
-      const Instruction& ins = fn.instr(id);
-      if (ins.dead || !ins.result.valid()) continue;
-      if (ins.result == v) {
-        *out = next;
-        return true;
-      }
-      ++next;
-    }
-  }
-  return false;
-}
+constexpr std::uint32_t kUnnumbered = std::numeric_limits<std::uint32_t>::max();
 
 /// Shortest decimal form that parses back to exactly the same double — keeps
 /// custom-op area annotations byte-stable through print -> parse -> print.
@@ -72,19 +55,32 @@ void print_custom_op(std::ostream& os, const CustomOp& op) {
 
 }  // namespace
 
-std::string value_name(const Function& fn, ValueId v) {
+ValueNames::ValueNames(const Function& fn) : fn_(fn), dense_(fn.num_values(), kUnnumbered) {
+  // Every listing of a live result advances the count, but an instruction
+  // listed twice keeps the number of its first listing.
+  std::uint32_t next = 0;
+  for (std::size_t bi = 0; bi < fn.num_blocks(); ++bi) {
+    for (InstrId id : fn.block(BlockId{static_cast<std::uint32_t>(bi)}).instrs) {
+      const Instruction& ins = fn.instr(id);
+      if (ins.dead || !ins.result.valid()) continue;
+      std::uint32_t& dense = dense_[ins.result.index];
+      if (dense == kUnnumbered) dense = next;
+      ++next;
+    }
+  }
+}
+
+std::string ValueNames::name(ValueId v) const {
   if (!v.valid()) return "<none>";
-  const ValueDef& def = fn.value(v);
+  const ValueDef& def = fn_.value(v);
   switch (def.kind) {
     case ValueKind::param:
       return "arg" + std::to_string(def.payload);
     case ValueKind::konst:
       return std::to_string(def.imm);
-    case ValueKind::instr: {
-      std::uint32_t dense = 0;
-      if (dense_result_index(fn, v, &dense)) return "v" + std::to_string(dense);
+    case ValueKind::instr:
+      if (dense_[v.index] != kUnnumbered) return "v" + std::to_string(dense_[v.index]);
       return "v?" + std::to_string(v.index);  // detached instruction (debug only)
-    }
   }
   return "<bad>";
 }
@@ -96,6 +92,7 @@ void print_function(std::ostream& os, const Module& module, const Function& fn) 
     os << "arg" << i;
   }
   os << ") {\n";
+  const ValueNames names(fn);
   for (std::size_t bi = 0; bi < fn.num_blocks(); ++bi) {
     const BlockId b{static_cast<std::uint32_t>(bi)};
     const BasicBlock& bb = fn.block(b);
@@ -104,14 +101,14 @@ void print_function(std::ostream& os, const Module& module, const Function& fn) 
       const Instruction& ins = fn.instr(id);
       if (ins.dead) continue;
       os << "  ";
-      if (ins.result.valid()) os << value_name(fn, ins.result) << " = ";
+      if (ins.result.valid()) os << names.name(ins.result) << " = ";
       os << name_of(ins.op);
       if (ins.op == Opcode::custom) {
         os << "." << module.custom_op(static_cast<int>(ins.imm)).name;
       }
       bool first = true;
       for (std::size_t k = 0; k < ins.operands.size(); ++k) {
-        os << (first ? " " : ", ") << value_name(fn, ins.operands[k]);
+        os << (first ? " " : ", ") << names.name(ins.operands[k]);
         if (ins.op == Opcode::phi) os << " [" << fn.block(ins.targets[k]).name << "]";
         first = false;
       }

@@ -5,21 +5,38 @@
 // micro-programs), so print(parse(print(m))) == print(m) byte-for-byte.
 #pragma once
 
+#include <cstdint>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "ir/module.hpp"
 
 namespace isex {
 
-/// Canonical spelling of a value: "arg0" for parameters, the bare literal
-/// ("42", "-7") for constants, and "vN" for instruction results — where N is
-/// the value's *dense* result number (block order, program order), not its
-/// raw arena index. Constants are therefore lexically distinct from value
-/// names (a name never starts with a digit or '-'), and the numbering is
-/// reconstructible from the text alone, which is what makes the printed form
-/// re-parseable into a byte-identical reprint.
-std::string value_name(const Function& fn, ValueId v);
+/// Canonical spellings of one function's values: "arg0" for parameters, the
+/// bare literal ("42", "-7") for constants, and "vN" for instruction results
+/// — where N is the value's *dense* result number (block order, program
+/// order), not its raw arena index. Constants are therefore lexically
+/// distinct from value names (a name never starts with a digit or '-'), and
+/// the numbering is reconstructible from the text alone, which is what makes
+/// the printed form re-parseable into a byte-identical reprint.
+///
+/// The numbering is computed once, in time linear in the function's size.
+/// The object borrows `fn`, which must outlive it and stay unchanged while
+/// it is in use.
+class ValueNames {
+ public:
+  explicit ValueNames(const Function& fn);
+
+  /// A result whose instruction is dead or in no block list is spelled
+  /// "v?<arena index>" (transient pass states; debug output only).
+  std::string name(ValueId v) const;
+
+ private:
+  const Function& fn_;
+  std::vector<std::uint32_t> dense_;  // by value index
+};
 
 void print_function(std::ostream& os, const Module& module, const Function& fn);
 void print_module(std::ostream& os, const Module& module);

@@ -1,7 +1,8 @@
 #include "text/lexer.hpp"
 
-#include <cctype>
+#include <array>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -9,32 +10,35 @@ namespace isex {
 
 namespace {
 
-bool is_ident_start(unsigned char c) { return std::isalpha(c) != 0 || c == '_'; }
-bool is_ident_char(unsigned char c) {
-  return std::isalnum(c) != 0 || c == '_' || c == '.';
-}
-bool is_punct(char c) {
-  switch (c) {
-    case '(':
-    case ')':
-    case '{':
-    case '}':
-    case '[':
-    case ']':
-    case ',':
-    case '=':
-    case ':':
-    case '@':
-    case '#':
-      return true;
-    default:
-      return false;
+// Byte classes of the token alphabet. A table instead of <cctype>: the
+// alphabet is ASCII whatever the locale, so every byte >= 0x80 is outside it.
+enum ByteClass : std::uint8_t {
+  kIdentStart = 1,
+  kIdentChar = 2,
+  kDigit = 4,
+  kPunct = 8,
+};
+
+constexpr std::array<std::uint8_t, 256> kByteClasses = [] {
+  std::array<std::uint8_t, 256> classes{};
+  for (int c = 'a'; c <= 'z'; ++c) classes[c] = kIdentStart | kIdentChar;
+  for (int c = 'A'; c <= 'Z'; ++c) classes[c] = kIdentStart | kIdentChar;
+  for (int c = '0'; c <= '9'; ++c) classes[c] = kIdentChar | kDigit;
+  classes['_'] = kIdentStart | kIdentChar;
+  classes['.'] = kIdentChar;
+  for (const char c : {'(', ')', '{', '}', '[', ']', ',', '=', ':', '@', '#'}) {
+    classes[static_cast<unsigned char>(c)] = kPunct;
   }
+  return classes;
+}();
+
+bool in_class(char c, ByteClass cls) {
+  return (kByteClasses[static_cast<unsigned char>(c)] & cls) != 0;
 }
 
 /// Printable rendering of an unexpected byte for the error message.
 std::string describe_byte(unsigned char c) {
-  if (std::isprint(c) != 0) return std::string("'") + static_cast<char>(c) + "'";
+  if (c >= 0x20 && c < 0x7f) return std::string("'") + static_cast<char>(c) + "'";
   char buf[8];
   std::snprintf(buf, sizeof buf, "0x%02x", c);
   return std::string("byte ") + buf;
@@ -45,11 +49,11 @@ std::string describe_byte(unsigned char c) {
 std::string describe_token(const Token& token) {
   switch (token.kind) {
     case TokenKind::identifier:
-      return "identifier '" + token.text + "'";
+      return "identifier '" + std::string(token.text) + "'";
     case TokenKind::number:
       return "number " + std::to_string(token.value);
     case TokenKind::punct:
-      return "'" + token.text + "'";
+      return "'" + std::string(token.text) + "'";
     case TokenKind::newline:
       return "end of line";
     case TokenKind::eof:
@@ -60,106 +64,101 @@ std::string describe_token(const Token& token) {
 
 std::vector<Token> tokenize(std::string_view text) {
   std::vector<Token> out;
-  SourceLoc loc;
+  out.reserve(text.size() / 4 + 1);  // printed IR averages ~3.6 bytes per token
+  int line = 1;
+  std::size_t line_start = 0;  // offset of the current line's first byte
   std::size_t i = 0;
   const std::size_t n = text.size();
-
-  const auto advance = [&](std::size_t count) {
-    for (std::size_t k = 0; k < count; ++k, ++i) {
-      if (text[i] == '\n') {
-        ++loc.line;
-        loc.col = 1;
-      } else {
-        ++loc.col;
-      }
-    }
+  const auto digits_from = [&](std::size_t k) {
+    while (k < n && in_class(text[k], kDigit)) ++k;
+    return k;
   };
 
   while (i < n) {
     const char c = text[i];
-    const SourceLoc at = loc;
+    // No token spans a line, so a column is the offset into the current line.
+    const SourceLoc at{line, static_cast<int>(i - line_start) + 1};
     if (c == '\n') {
       // Collapse is the parser's job; every physical line break is a token
       // so column/line reporting stays exact.
-      out.push_back({.kind = TokenKind::newline, .text = "\n", .loc = at});
-      advance(1);
+      out.push_back({.kind = TokenKind::newline, .text = text.substr(i, 1), .loc = at});
+      ++i;
+      ++line;
+      line_start = i;
       continue;
     }
     if (c == ' ' || c == '\t' || c == '\r') {
-      advance(1);
+      ++i;
       continue;
     }
     if (c == ';') {  // comment to end of line
-      while (i < n && text[i] != '\n') advance(1);
+      while (i < n && text[i] != '\n') ++i;
       continue;
     }
-    if (is_ident_start(static_cast<unsigned char>(c))) {
-      std::size_t len = 1;
-      while (i + len < n && is_ident_char(static_cast<unsigned char>(text[i + len]))) ++len;
-      out.push_back({.kind = TokenKind::identifier,
-                     .text = std::string(text.substr(i, len)),
-                     .loc = at});
-      advance(len);
+    if (in_class(c, kIdentStart)) {
+      std::size_t end = i + 1;
+      while (end < n && in_class(text[end], kIdentChar)) ++end;
+      out.push_back({.kind = TokenKind::identifier, .text = text.substr(i, end - i), .loc = at});
+      i = end;
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) != 0 ||
-        (c == '-' && i + 1 < n && std::isdigit(static_cast<unsigned char>(text[i + 1])) != 0)) {
-      std::size_t len = (c == '-') ? 2 : 1;
-      while (i + len < n && std::isdigit(static_cast<unsigned char>(text[i + len])) != 0) ++len;
+    if (in_class(c, kDigit) || (c == '-' && i + 1 < n && in_class(text[i + 1], kDigit))) {
+      std::size_t end = digits_from(i + 1);
       bool is_float = false;
       // Optional fraction and exponent (custom-op area annotations).
-      if (i + len + 1 < n && text[i + len] == '.' &&
-          std::isdigit(static_cast<unsigned char>(text[i + len + 1])) != 0) {
+      if (end + 1 < n && text[end] == '.' && in_class(text[end + 1], kDigit)) {
         is_float = true;
-        len += 2;
-        while (i + len < n && std::isdigit(static_cast<unsigned char>(text[i + len])) != 0) {
-          ++len;
-        }
+        end = digits_from(end + 2);
       }
-      if (i + len < n && (text[i + len] == 'e' || text[i + len] == 'E')) {
-        std::size_t e = len + 1;
-        if (i + e < n && (text[i + e] == '+' || text[i + e] == '-')) ++e;
-        if (i + e < n && std::isdigit(static_cast<unsigned char>(text[i + e])) != 0) {
+      if (end < n && (text[end] == 'e' || text[end] == 'E')) {
+        std::size_t e = end + 1;
+        if (e < n && (text[e] == '+' || text[e] == '-')) ++e;
+        if (e < n && in_class(text[e], kDigit)) {
           is_float = true;
-          len = e + 1;
-          while (i + len < n && std::isdigit(static_cast<unsigned char>(text[i + len])) != 0) {
-            ++len;
-          }
+          end = digits_from(e + 1);
         }
       }
-      const std::string digits(text.substr(i, len));
-      Token token{TokenKind::number, digits, 0, 0.0, is_float, at};
-      errno = 0;
-      char* end = nullptr;
+      Token token{.kind = TokenKind::number,
+                  .text = text.substr(i, end - i),
+                  .is_float = is_float,
+                  .loc = at};
       if (is_float) {
-        token.fvalue = std::strtod(digits.c_str(), &end);
-        if (errno == ERANGE || end != digits.c_str() + digits.size()) {
+        // strtod needs a terminated copy; fractions only occur in area
+        // annotations, so this stays off the per-instruction path.
+        const std::string digits(token.text);
+        char* parsed_end = nullptr;
+        errno = 0;
+        token.fvalue = std::strtod(digits.c_str(), &parsed_end);
+        if (errno == ERANGE || parsed_end != digits.c_str() + digits.size()) {
           throw ParseError(at, "numeric literal",
                            "numeric literal '" + digits + "' is out of range");
         }
       } else {
-        const long long v = std::strtoll(digits.c_str(), &end, 10);
-        if (errno == ERANGE || end != digits.c_str() + digits.size()) {
+        const char* const last = token.text.data() + token.text.size();
+        const auto [parsed_end, ec] = std::from_chars(token.text.data(), last, token.value);
+        if (ec != std::errc() || parsed_end != last) {
           throw ParseError(at, "integer literal",
-                           "integer literal '" + digits + "' does not fit a 64-bit value");
+                           "integer literal '" + std::string(token.text) +
+                               "' does not fit a 64-bit value");
         }
-        token.value = static_cast<std::int64_t>(v);
-        token.fvalue = static_cast<double>(v);
+        token.fvalue = static_cast<double>(token.value);
       }
-      out.push_back(std::move(token));
-      advance(len);
+      out.push_back(token);
+      i = end;
       continue;
     }
-    if (is_punct(c)) {
-      out.push_back({.kind = TokenKind::punct, .text = std::string(1, c), .loc = at});
-      advance(1);
+    if (in_class(c, kPunct)) {
+      out.push_back({.kind = TokenKind::punct, .text = text.substr(i, 1), .loc = at});
+      ++i;
       continue;
     }
     throw ParseError(at, "token",
                      "unexpected " + describe_byte(static_cast<unsigned char>(c)) +
                          " outside the token alphabet");
   }
-  out.push_back({.kind = TokenKind::eof, .loc = loc});
+  out.push_back({.kind = TokenKind::eof,
+                 .text = {},
+                 .loc = SourceLoc{line, static_cast<int>(n - line_start) + 1}});
   return out;
 }
 

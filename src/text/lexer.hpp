@@ -60,9 +60,11 @@ enum class TokenKind : std::uint8_t {
   eof,
 };
 
+/// A token's `text` views the input passed to tokenize(): the input must
+/// outlive every token made from it.
 struct Token {
   TokenKind kind = TokenKind::eof;
-  std::string text;        // identifier spelling / punct character / literal digits
+  std::string_view text;   // identifier spelling / punct character / literal digits
   std::int64_t value = 0;  // integer payload (valid when !is_float)
   double fvalue = 0.0;     // numeric payload, always set for numbers
   bool is_float = false;   // literal carried a fraction or exponent

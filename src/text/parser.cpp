@@ -30,37 +30,41 @@ std::int64_t parse_digits(std::string_view digits, std::int64_t limit) {
   return v;
 }
 
+// The parsed-but-unresolved form below holds names as views into the
+// parsed text, which outlives the parser; only names the Module stores
+// (functions, blocks, segments, custom ops) are copied.
+
 /// One unresolved operand of a parsed instruction: an integer literal, or a
 /// reference to a parameter / named result (possibly defined later — phis
 /// reference their latch values forward).
 struct POperand {
   bool is_const = false;
   std::int64_t literal = 0;
-  std::string name;
+  std::string_view name;
   SourceLoc loc;
 };
 
 struct PInstr {
-  std::string result;  // empty when the line binds no name
+  std::string_view result;  // empty when the line binds no name
   SourceLoc result_loc;
   Opcode op = Opcode::add;
-  std::string custom_name;  // custom.NAME suffix
+  std::string_view custom_name;  // custom.NAME suffix
   std::vector<POperand> operands;
-  std::vector<std::string> targets;  // block names (phi incoming / branch dests)
+  std::vector<std::string_view> targets;  // block names (phi incoming / branch dests)
   std::vector<SourceLoc> target_locs;
   std::int64_t imm = 0;  // extract position / load ROM hint (1 + segment index)
   SourceLoc loc;
 };
 
 struct PBlock {
-  std::string label;
+  std::string_view label;
   SourceLoc loc;
   std::vector<PInstr> instrs;
 };
 
 struct PFunction {
-  std::string name;
-  std::vector<std::string> params;
+  std::string_view name;
+  std::vector<std::string_view> params;
   std::vector<PBlock> blocks;
   SourceLoc loc;
 };
@@ -72,7 +76,7 @@ class Parser {
   std::unique_ptr<Module> parse() {
     skip_newlines();
     expect_keyword("module");
-    auto module = std::make_unique<Module>(expect_ident("module name").text);
+    auto module = std::make_unique<Module>(std::string(expect_ident("module name").text));
     expect_line_end();
 
     std::vector<PFunction> functions;
@@ -164,22 +168,21 @@ class Parser {
   void parse_segment(Module& module) {
     expect_keyword("segment");
     const Token name = expect_ident("segment name");
-    if (module.find_segment(name.text) != nullptr) {
-      throw ParseError(name.loc, "",
-                       "duplicate segment '" + name.text + "'");
+    std::string seg_name(name.text);
+    if (module.find_segment(seg_name) != nullptr) {
+      throw ParseError(name.loc, "", "duplicate segment '" + seg_name + "'");
     }
     expect_punct('@');
     const Token base = expect_int("base address");
     const Token size = expect_ident("segment size (xN)");
     if (size.text.size() < 2 || size.text[0] != 'x' ||
-        size.text.find_first_not_of("0123456789", 1) != std::string::npos) {
+        size.text.find_first_not_of("0123456789", 1) != std::string_view::npos) {
       fail("segment size (xN)", size);
     }
-    const std::int64_t words =
-        parse_digits(std::string_view(size.text).substr(1), 0x7fffffff);
+    const std::int64_t words = parse_digits(size.text.substr(1), 0x7fffffff);
     if (words < 0) {
       throw ParseError(size.loc, "",
-                       "segment size '" + size.text + "' is out of range");
+                       "segment size '" + std::string(size.text) + "' is out of range");
     }
     const auto size_words = static_cast<std::uint32_t>(words);
     bool read_only = false;
@@ -200,16 +203,16 @@ class Parser {
     }
     if (init.size() > size_words) {
       throw ParseError(name.loc, "",
-                       "segment '" + name.text + "' init data (" +
+                       "segment '" + seg_name + "' init data (" +
                            std::to_string(init.size()) + " words) exceeds its size x" +
                            std::to_string(size_words));
     }
     expect_line_end();
     const std::uint32_t assigned =
-        module.add_segment(name.text, size_words, std::move(init), read_only);
+        module.add_segment(seg_name, size_words, std::move(init), read_only);
     if (assigned != static_cast<std::uint64_t>(base.value)) {
       throw ParseError(base.loc, "",
-                       "segment '" + name.text + "' declares base @" +
+                       "segment '" + seg_name + "' declares base @" +
                            std::to_string(base.value) + " but sequential allocation assigns @" +
                            std::to_string(assigned));
     }
@@ -218,15 +221,16 @@ class Parser {
   /// Operand-space index of a tN name inside a custom-op micro-program.
   int micro_index(const Token& t, int limit) {
     if (t.text.size() < 2 || t.text[0] != 't' ||
-        t.text.find_first_not_of("0123456789", 1) != std::string::npos) {
+        t.text.find_first_not_of("0123456789", 1) != std::string_view::npos) {
       fail("micro operand (tN)", t);
     }
-    const std::int64_t parsed = parse_digits(std::string_view(t.text).substr(1), limit);
+    const std::int64_t parsed = parse_digits(t.text.substr(1), limit);
     const int index = static_cast<int>(parsed);
     if (parsed < 0 || index >= limit) {
       throw ParseError(t.loc, "",
-                       "micro operand " + t.text + " references a value defined later (only t0.." +
-                           "t" + std::to_string(limit - 1) + " are in scope)");
+                       "micro operand " + std::string(t.text) +
+                           " references a value defined later (only t0..t" +
+                           std::to_string(limit - 1) + " are in scope)");
     }
     return index;
   }
@@ -235,7 +239,7 @@ class Parser {
     expect_keyword("custom");
     CustomOp op;
     const Token name = expect_ident("custom-op name");
-    op.name = name.text;
+    op.name = std::string(name.text);
     for (std::size_t i = 0; i < module.num_custom_ops(); ++i) {
       if (module.custom_op(static_cast<int>(i)).name == op.name) {
         throw ParseError(name.loc, "", "duplicate custom op '" + op.name + "'");
@@ -266,7 +270,7 @@ class Parser {
       if (result.text != "t" + std::to_string(defined)) {
         throw ParseError(result.loc, "t" + std::to_string(defined),
                          "micro results are numbered densely; expected t" +
-                             std::to_string(defined) + ", found " + result.text);
+                             std::to_string(defined) + ", found " + std::string(result.text));
       }
       expect_punct('=');
       const Token op_tok = expect_ident("opcode");
@@ -350,9 +354,9 @@ class Parser {
     while (!at_punct(')')) {
       if (!pf.params.empty()) expect_punct(',');
       const Token p = expect_ident("parameter name");
-      for (const std::string& existing : pf.params) {
+      for (const std::string_view existing : pf.params) {
         if (existing == p.text) {
-          throw ParseError(p.loc, "", "duplicate parameter '" + p.text + "'");
+          throw ParseError(p.loc, "", "duplicate parameter '" + std::string(p.text) + "'");
         }
       }
       pf.params.push_back(p.text);
@@ -384,7 +388,7 @@ class Parser {
     expect_punct('}');
     expect_line_end();
     if (pf.blocks.empty()) {
-      throw ParseError(pf.loc, "", "function '" + pf.name + "' has no blocks");
+      throw ParseError(pf.loc, "", "function '" + std::string(pf.name) + "' has no blocks");
     }
     return pf;
   }
@@ -433,8 +437,8 @@ class Parser {
       first = expect_ident("opcode");
       ins.loc = ins.result_loc;
     }
-    std::string op_name = first.text;
-    if (op_name.rfind("custom.", 0) == 0) {
+    const std::string_view op_name = first.text;
+    if (op_name.starts_with("custom.")) {
       ins.op = Opcode::custom;
       ins.custom_name = op_name.substr(7);
       if (ins.custom_name.empty()) {
@@ -532,28 +536,29 @@ class Parser {
 
   // --- materialization ------------------------------------------------------
   void materialize(Module& module, const PFunction& pf) {
-    if (module.find_function(pf.name) != nullptr) {
-      throw ParseError(pf.loc, "", "duplicate function '" + pf.name + "'");
+    std::string fn_name(pf.name);
+    if (module.find_function(fn_name) != nullptr) {
+      throw ParseError(pf.loc, "", "duplicate function '" + fn_name + "'");
     }
     // ROM hints were collected per parse; validate against the now-complete
     // segment table (segments may lexically follow a function).
     for (const auto& [seg, loc] : rom_hints_) check_rom_segment(module, seg);
     rom_hints_.clear();
 
-    Function& fn = module.add_function(pf.name, static_cast<int>(pf.params.size()));
-    std::unordered_map<std::string, ValueId> values;
+    Function& fn = module.add_function(std::move(fn_name), static_cast<int>(pf.params.size()));
+    std::unordered_map<std::string_view, ValueId> values;
     for (std::size_t i = 0; i < pf.params.size(); ++i) {
       values.emplace(pf.params[i], fn.param(static_cast<int>(i)));
     }
 
-    std::unordered_map<std::string, BlockId> blocks;
+    std::unordered_map<std::string_view, BlockId> blocks;
     for (const PBlock& pb : pf.blocks) {
       if (!blocks.emplace(pb.label, BlockId{}).second) {
         throw ParseError(pb.loc, "",
-                         "duplicate block label '" + pb.label + "' (block names are "
-                         "branch targets and must be unique)");
+                         "duplicate block label '" + std::string(pb.label) +
+                             "' (block names are branch targets and must be unique)");
       }
-      blocks[pb.label] = fn.add_block(pb.label);
+      blocks[pb.label] = fn.add_block(std::string(pb.label));
     }
 
     // Pass A: append every instruction (creating its result value) with its
@@ -570,7 +575,7 @@ class Parser {
           const auto it = blocks.find(pi.targets[t]);
           if (it == blocks.end()) {
             throw ParseError(pi.target_locs[t], "",
-                             "unknown block '" + pi.targets[t] + "'");
+                             "unknown block '" + std::string(pi.targets[t]) + "'");
           }
           targets.push_back(it->second);
         }
@@ -584,7 +589,8 @@ class Parser {
             }
           }
           if (imm < 0) {
-            throw ParseError(pi.loc, "", "unknown custom op '" + pi.custom_name + "'");
+            throw ParseError(pi.loc, "",
+                             "unknown custom op '" + std::string(pi.custom_name) + "'");
           }
         }
         const InstrId id = fn.append_instr(block, pi.op, {}, std::move(targets), imm);
@@ -593,7 +599,7 @@ class Parser {
           const ValueId result = fn.instr(id).result;
           if (!values.emplace(pi.result, result).second) {
             throw ParseError(pi.result_loc, "",
-                             "redefinition of value '" + pi.result + "'");
+                             "redefinition of value '" + std::string(pi.result) + "'");
           }
         }
       }
@@ -614,7 +620,7 @@ class Parser {
           const auto it = values.find(po.name);
           if (it == values.end()) {
             throw ParseError(po.loc, "",
-                             "use of undefined value '" + po.name + "'");
+                             "use of undefined value '" + std::string(po.name) + "'");
           }
           operands.push_back(it->second);
         }

@@ -86,7 +86,7 @@ void parse_directive(Header& header, const std::vector<Token>& tokens, int line)
       header.output_segment = take_ident("segment name").text;
       const Token& count = take_ident("word count (xN)");
       if (count.text.size() < 2 || count.text[0] != 'x' ||
-          count.text.find_first_not_of("0123456789", 1) != std::string::npos) {
+          count.text.find_first_not_of("0123456789", 1) != std::string_view::npos) {
         fail_at(count, line, "word count (xN)");
       }
       std::int64_t words = 0;
@@ -94,7 +94,7 @@ void parse_directive(Header& header, const std::vector<Token>& tokens, int line)
         words = words * 10 + (count.text[i] - '0');
         if (words > 0x7fffffff) {
           throw ParseError(doc_loc(count, line), "",
-                           "word count '" + count.text + "' is out of range");
+                           "word count '" + std::string(count.text) + "' is out of range");
         }
       }
       header.output_count = static_cast<std::uint32_t>(words);

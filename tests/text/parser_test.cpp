@@ -5,6 +5,8 @@
 // error messages on.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ir/verifier.hpp"
 #include "text/parser.hpp"
 
@@ -168,6 +170,52 @@ TEST(TextParser, CustomOpsRoundTripThroughTheGrammar) {
   ASSERT_EQ(module->num_custom_ops(), 1);
   EXPECT_EQ(module->custom_op(0).name, "mac");
   EXPECT_EQ(module->custom_op(0).num_inputs, 3);
+}
+
+TEST(TextParser, NonAsciiBytesAreOutsideTheTokenAlphabet) {
+  // Where a name (line 4) or a number (line 2) is expected, a byte >= 0x80
+  // is never a letter or digit, whatever the process locale.
+  struct Case {
+    const char* text;
+    int line;
+    int col;
+    const char* byte;
+  };
+  for (const Case& c : {
+           Case{"module m\nfunc m(arg0) {\nentry:\n  v0 = add \xc3\xa9, 1\n  ret v0\n}\n", 4, 12,
+                "byte 0xc3"},
+           Case{"module m\nsegment s @\xff" "0 x4\n", 2, 12, "byte 0xff"},
+       }) {
+    try {
+      parse_module(c.text);
+      FAIL() << "non-ASCII byte unexpectedly accepted: " << c.text;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), c.line) << e.what();
+      EXPECT_EQ(e.col(), c.col) << e.what();
+      EXPECT_EQ(e.expected(), "token") << e.what();
+      EXPECT_EQ(e.message(), std::string("unexpected ") + c.byte + " outside the token alphabet");
+    }
+  }
+}
+
+TEST(TextParser, IntegerLiteralsCoverTheWholeInt64Range) {
+  const std::unique_ptr<Module> module = parse_module(
+      "module m\nfunc m(arg0) {\nentry:\n  v0 = add arg0, -9223372036854775808\n  ret v0\n}\n");
+  const Function& fn = *module->find_function("m");
+  const Instruction& add = fn.instr(fn.block(fn.entry()).instrs.front());
+  EXPECT_EQ(fn.konst_value(add.operands[1]), std::numeric_limits<std::int64_t>::min());
+
+  try {
+    parse_module(
+        "module m\nfunc m(arg0) {\nentry:\n  v0 = add arg0, 9223372036854775808\n  ret v0\n}\n");
+    FAIL() << "2^63 unexpectedly fits an int64";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 4) << e.what();
+    EXPECT_EQ(e.col(), 18) << e.what();
+    EXPECT_EQ(e.expected(), "integer literal") << e.what();
+    EXPECT_EQ(e.message(),
+              "integer literal '9223372036854775808' does not fit a 64-bit value");
+  }
 }
 
 TEST(TextParser, CustomMicroNumberingMustBeDense) {
