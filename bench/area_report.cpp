@@ -24,7 +24,7 @@ int main() {
     request.constraints.max_outputs = 2;
     request.constraints.branch_and_bound = true;
     request.num_instructions = 4;
-    request.build_afus = true;
+    request.emission.build_afus = true;
     request.name_prefix = w.name();
     const ExplorationReport report = explorer.run(w, request);
 

@@ -28,13 +28,14 @@
 #include <string>
 #include <vector>
 
-#include "core/reference_search.hpp"
 #include "core/single_cut.hpp"
 #include "dfg/random_dag.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/table.hpp"
 #include "workloads/workload.hpp"
+
+#include "reference_search.hpp"
 
 using namespace isex;
 

@@ -2,8 +2,11 @@
 // extract the hot block's DFG, and watch the best instruction grow from M1
 // (2 inputs / 1 output) to M2 (3 inputs) to the disconnected M2+M3 as the
 // microarchitectural constraints relax. Finishes with one Explorer pipeline
-// run that selects, rewrites and validates the extension and emits its
-// Verilog.
+// run that selects, rewrites and validates the extension and writes its
+// Verilog to an artifact directory (the first argument, or a fresh
+// directory under the system temp dir).
+#include <filesystem>
+#include <fstream>
 #include <iostream>
 
 #include "api/explorer.hpp"
@@ -11,7 +14,7 @@
 
 using namespace isex;
 
-int main() {
+int main(int argc, char** argv) {
   const Explorer explorer;
 
   Workload w = find_workload("adpcmdecode");
@@ -52,23 +55,29 @@ int main() {
   }
   table.print(std::cout);
 
-  // Select with 4 read / 2 write ports, rewrite, and validate — one request.
+  // Select with 4 read / 2 write ports, rewrite, validate and emit — one
+  // request.
+  const std::filesystem::path out_dir =
+      argc > 1 ? std::filesystem::path(argv[1])
+               : std::filesystem::temp_directory_path() / "isex_adpcm_explore";
   ExplorationRequest request;
   request.scheme = "iterative";
   request.constraints.max_inputs = 4;
   request.constraints.max_outputs = 2;
   request.num_instructions = 2;
-  request.rewrite = true;
-  request.emit_verilog = true;
-  request.name_prefix = "adpcm_ise";
+  request.emission.verify_rewrites = true;
+  request.emission.targets = {"verilog", "c-intrinsics", "manifest"};
+  request.emission.out_dir = out_dir.string();
   const ExplorationReport report = explorer.run(w, request);
 
   std::cout << "\nselected " << report.cuts.size() << " instructions; rewrite "
             << (report.validation.bit_exact ? "bit-exact" : "MISMATCH") << "; cycles "
             << report.validation.cycles_before << " -> " << report.validation.cycles_after
             << " (speedup " << TextTable::num(report.validation.measured_speedup, 3)
-            << "x)\n\n";
+            << "x); " << report.emission.artifacts.size() << " artifacts in " << out_dir.string()
+            << "\n\n";
 
-  std::cout << "Verilog for the first selected AFU:\n\n" << report.verilog.at(0);
-  return 0;
+  std::ifstream verilog(out_dir / "afu" / "isex0.v");
+  std::cout << "Verilog for the first selected AFU (afu/isex0.v):\n\n" << verilog.rdbuf();
+  return report.validation.bit_exact ? 0 : 1;
 }

@@ -66,7 +66,7 @@ int main() {
   request.constraints.max_inputs = 4;
   request.constraints.max_outputs = 1;
   request.num_instructions = 2;
-  request.rewrite = true;
+  request.emission.verify_rewrites = true;
   const ExplorationReport report = explorer.run(w, request);
 
   std::cout << "custom kernel 'alpha_blend'\n";

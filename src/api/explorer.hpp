@@ -98,25 +98,11 @@ struct ExplorationRequest {
   /// "manifest", ...). Contradictory or no-op combinations are rejected with
   /// a structured EmissionOptionsError before any work runs.
   EmissionOptions emission;
-
-  // --- legacy emission switches (pre-EmissionOptions API) -----------------
-  // Honoured through effective_emission(); byte-identical to the historical
-  // behaviour. New code should set `emission` instead.
-  /// Snapshot an AFU per selected cut (ports, latency, area) into the report.
-  bool build_afus = false;
-  /// Rewrite the selection into the workload's module and validate that the
-  /// transformed program is bit-exact; fills report.validation. Mutates the
-  /// workload module (workload pipelines only).
-  bool rewrite = false;
-  /// With rewrite/build_afus: capture each AFU's Verilog into the report.
-  bool emit_verilog = false;
   /// Name prefix for synthesized custom ops.
   std::string name_prefix = "isex";
 
-  /// The emission options this request effectively asks for: `emission`
-  /// merged with the legacy boolean trio (build_afus → AFU snapshots,
-  /// rewrite → verify_rewrites, emit_verilog → the "verilog" target).
-  EmissionOptions effective_emission() const;
+  /// The emission options this request asks for — `emission` itself.
+  EmissionOptions effective_emission() const { return emission; }
 };
 
 /// Optional per-run instrumentation, threaded through the pipeline by the
@@ -182,28 +168,28 @@ class Explorer {
   /// service-level ResultStore to this explorer's memo state.
   const std::shared_ptr<ResultCache>& cache_handle() const { return cache_; }
 
-  /// Runs the whole pipeline. Resolves request.workload against the workload
-  /// registry, or explores request.graphs when the name is empty. The hooks
-  /// overloads stream phase boundaries and thread a shared budget gate
-  /// through the searches; results are identical with or without hooks
-  /// (modulo a gate that exhausts).
-  ExplorationReport run(const ExplorationRequest& request) const;
-  ExplorationReport run(const ExplorationRequest& request, const RunHooks& hooks) const;
+  // Every entry point below runs the same pipeline: it builds the list of
+  // applications (one here, N for a portfolio) and projects the outcome
+  // into its report type. The hooks stream phase boundaries and thread a
+  // shared budget gate and cancel token through the searches; results are
+  // identical with or without hooks (modulo a gate that exhausts or a token
+  // that trips).
+
+  /// Runs the whole pipeline on request.ir_text, request.workload (resolved
+  /// against the workload registry) or request.graphs, in that order.
+  ExplorationReport run(const ExplorationRequest& request, const RunHooks& hooks = {}) const;
 
   /// Runs the pipeline on a caller-owned workload (bring-your-own Module).
-  /// request.workload is ignored; with request.rewrite the module is
-  /// transformed in place.
-  ExplorationReport run(Workload& workload, const ExplorationRequest& request) const;
+  /// request.workload is ignored; with emission.verify_rewrites the module
+  /// is transformed in place.
   ExplorationReport run(Workload& workload, const ExplorationRequest& request,
-                        const RunHooks& hooks) const;
+                        const RunHooks& hooks = {}) const;
 
   /// Identification + selection on pre-extracted graphs. No module is
-  /// available, so AFU construction and rewriting are skipped; the base
+  /// available, so AFU construction and rewriting are rejected; the base
   /// cycle count is the blocks' static single-issue estimate.
-  ExplorationReport run_blocks(std::span<const Dfg> blocks,
-                               const ExplorationRequest& request) const;
   ExplorationReport run_blocks(std::span<const Dfg> blocks, const ExplorationRequest& request,
-                               const RunHooks& hooks) const;
+                               const RunHooks& hooks = {}) const;
 
   /// Runs a batched multi-application exploration: extracts every workload
   /// (through the extraction cache), hands the weighted bundles to a
@@ -212,9 +198,8 @@ class Explorer {
   /// cache sharing. Requests naming a single-application scheme are
   /// accepted only for portfolios of exactly one workload (throws an
   /// isex::Error listing the portfolio-capable names otherwise).
-  PortfolioReport run_portfolio(const MultiExplorationRequest& request) const;
   PortfolioReport run_portfolio(const MultiExplorationRequest& request,
-                                const RunHooks& hooks) const;
+                                const RunHooks& hooks = {}) const;
 
   // --- single-block identification (paper Problem 1) ----------------------
   /// Best single cut of one block under `constraints`. Memoized through the
@@ -232,36 +217,6 @@ class Explorer {
                                 int num_cuts, bool use_cache = true) const;
 
  private:
-  /// Profiled, frequency-weighted block graphs of one application, with the
-  /// storage keeping the `blocks` span alive (a shared cache snapshot or a
-  /// freshly extracted vector — vector/shared_ptr moves do not move the
-  /// heap buffers the span points into).
-  struct ExtractedBlocks {
-    std::span<const Dfg> blocks;
-    double base_cycles = 0.0;
-    std::shared_ptr<const std::vector<Dfg>> snapshot;  // set on a cache hit/store
-    std::vector<Dfg> owned;                            // set when uncached
-  };
-  /// Profiles `workload` and extracts its DFGs through the extraction cache
-  /// (unless `use_dfg_cache` is false — rewriting requests and mutated
-  /// instances must bypass it). With `need_module` the workload is
-  /// preprocessed even on a cache hit, so AFU construction can read it.
-  ExtractedBlocks extract_workload(Workload& workload, const DfgOptions& options,
-                                   bool use_dfg_cache, bool need_module,
-                                   CacheCounters* local) const;
-
-  ExplorationReport run_pipeline(Workload* workload, std::span<const Dfg> blocks,
-                                 const ExplorationRequest& request,
-                                 const RunHooks& hooks) const;
-
-  /// AFU construction, rewrite-verify and artifact emission for one
-  /// pipeline run (single application). Fills report.afus/verilog/
-  /// validation/emission; `workload` may be null only when the effective
-  /// options passed validation for a graph-only request.
-  void emit_single(Workload* workload, std::span<const Dfg> blocks,
-                   const ExplorationRequest& request, const EmissionOptions& emission,
-                   ExplorationReport& report) const;
-
   LatencyModel latency_;
   SchemeRegistry* registry_;
   std::shared_ptr<ResultCache> cache_;

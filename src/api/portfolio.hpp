@@ -138,7 +138,7 @@ struct SharingReport {
   std::uint64_t cross_workload_hits = 0;
 };
 
-struct PortfolioReport {
+struct PortfolioReport : RunSections {
   std::string scheme;
   Constraints constraints;
   int num_instructions = 0;
@@ -157,16 +157,6 @@ struct PortfolioReport {
   EnumerationStats stats;  // aggregated over every identification call
 
   SharingReport sharing;
-  EmissionReport emission;
-  ReportTimings timings;
-  CacheReport cache;
-  EngineReport engine;
-
-  /// True when the run was cut short (deadline, watchdog, client cancel);
-  /// see ExplorationReport::partial — same semantics and serialization
-  /// (emitted only when set).
-  bool partial = false;
-  std::string partial_reason;
 
   /// The raw selection (bit vectors usable against the extracted DFGs); not
   /// serialized.

@@ -11,13 +11,7 @@ Json cut_to_json(const CutReport& c) {
   j.set("block_index", c.block_index);
   j.set("block", c.block);
   j.set("merit", c.merit);
-  j.set("num_ops", c.metrics.num_ops);
-  j.set("inputs", c.metrics.inputs);
-  j.set("outputs", c.metrics.outputs);
-  j.set("sw_cycles", c.metrics.sw_cycles);
-  j.set("hw_cycles", c.metrics.hw_cycles);
-  j.set("hw_critical", c.metrics.hw_critical);
-  j.set("area_macs", c.metrics.area_macs);
+  write_cut_metrics(c.metrics, j);
   j.set("nodes", c.nodes);
   return j;
 }
@@ -27,13 +21,7 @@ CutReport cut_from_json(const Json& j) {
   c.block_index = static_cast<int>(j.at("block_index").as_int());
   c.block = j.at("block").as_string();
   c.merit = j.at("merit").as_double();
-  c.metrics.num_ops = static_cast<int>(j.at("num_ops").as_int());
-  c.metrics.inputs = static_cast<int>(j.at("inputs").as_int());
-  c.metrics.outputs = static_cast<int>(j.at("outputs").as_int());
-  c.metrics.sw_cycles = static_cast<int>(j.at("sw_cycles").as_int());
-  c.metrics.hw_cycles = static_cast<int>(j.at("hw_cycles").as_int());
-  c.metrics.hw_critical = j.at("hw_critical").as_double();
-  c.metrics.area_macs = j.at("area_macs").as_double();
+  c.metrics = cut_metrics_from_json(j);
   c.nodes = j.at("nodes").as_string();
   return c;
 }
@@ -56,36 +44,6 @@ AfuReport afu_from_json(const Json& j) {
   a.latency_cycles = static_cast<int>(j.at("latency_cycles").as_int());
   a.area_macs = j.at("area_macs").as_double();
   return a;
-}
-
-}  // namespace
-
-Json to_json(const ValidationReport& v) {
-  Json j = Json::object();
-  j.set("rewritten", v.rewritten);
-  j.set("bit_exact", v.bit_exact);
-  j.set("counts_match", v.counts_match);
-  j.set("custom_invocations", v.custom_invocations);
-  j.set("cycles_before", v.cycles_before);
-  j.set("cycles_after", v.cycles_after);
-  j.set("measured_speedup", v.measured_speedup);
-  return j;
-}
-
-ValidationReport validation_from_json(const Json& j) {
-  ValidationReport v;
-  v.rewritten = j.at("rewritten").as_bool();
-  v.bit_exact = j.at("bit_exact").as_bool();
-  // Absent in reports serialized before the emission backend introduced the
-  // invocation-count check; default so archived report files stay loadable.
-  if (const Json* counts = j.find("counts_match")) v.counts_match = counts->as_bool();
-  if (const Json* invocations = j.find("custom_invocations")) {
-    v.custom_invocations = invocations->as_uint();
-  }
-  v.cycles_before = j.at("cycles_before").as_uint();
-  v.cycles_after = j.at("cycles_after").as_uint();
-  v.measured_speedup = j.at("measured_speedup").as_double();
-  return v;
 }
 
 Json to_json(const EmissionReport& e) {
@@ -138,22 +96,132 @@ EmissionReport emission_from_json(const Json& j) {
   return e;
 }
 
-Json to_json(const EngineReport& e) {
+}  // namespace
+
+Json to_json(const ValidationReport& v) {
   Json j = Json::object();
-  j.set("subtree_split_depth", e.subtree_split_depth);
-  j.set("subtree_tasks", e.subtree_tasks);
-  j.set("split_searches", e.split_searches);
-  j.set("serial_searches", e.serial_searches);
+  j.set("rewritten", v.rewritten);
+  j.set("bit_exact", v.bit_exact);
+  j.set("counts_match", v.counts_match);
+  j.set("custom_invocations", v.custom_invocations);
+  j.set("cycles_before", v.cycles_before);
+  j.set("cycles_after", v.cycles_after);
+  j.set("measured_speedup", v.measured_speedup);
   return j;
 }
 
-EngineReport engine_from_json(const Json& j) {
-  EngineReport e;
-  e.subtree_split_depth = static_cast<int>(j.at("subtree_split_depth").as_int());
-  e.subtree_tasks = j.at("subtree_tasks").as_uint();
-  e.split_searches = j.at("split_searches").as_uint();
-  e.serial_searches = j.at("serial_searches").as_uint();
-  return e;
+ValidationReport validation_from_json(const Json& j) {
+  ValidationReport v;
+  v.rewritten = j.at("rewritten").as_bool();
+  v.bit_exact = j.at("bit_exact").as_bool();
+  // Absent in reports serialized before the emission backend introduced the
+  // invocation-count check; default so archived report files stay loadable.
+  if (const Json* counts = j.find("counts_match")) v.counts_match = counts->as_bool();
+  if (const Json* invocations = j.find("custom_invocations")) {
+    v.custom_invocations = invocations->as_uint();
+  }
+  v.cycles_before = j.at("cycles_before").as_uint();
+  v.cycles_after = j.at("cycles_after").as_uint();
+  v.measured_speedup = j.at("measured_speedup").as_double();
+  return v;
+}
+
+void write_cut_metrics(const CutMetrics& metrics, Json& j) {
+  j.set("num_ops", metrics.num_ops);
+  j.set("inputs", metrics.inputs);
+  j.set("outputs", metrics.outputs);
+  j.set("sw_cycles", metrics.sw_cycles);
+  j.set("hw_cycles", metrics.hw_cycles);
+  j.set("hw_critical", metrics.hw_critical);
+  j.set("area_macs", metrics.area_macs);
+}
+
+CutMetrics cut_metrics_from_json(const Json& j) {
+  CutMetrics m;
+  m.num_ops = static_cast<int>(j.at("num_ops").as_int());
+  m.inputs = static_cast<int>(j.at("inputs").as_int());
+  m.outputs = static_cast<int>(j.at("outputs").as_int());
+  m.sw_cycles = static_cast<int>(j.at("sw_cycles").as_int());
+  m.hw_cycles = static_cast<int>(j.at("hw_cycles").as_int());
+  m.hw_critical = j.at("hw_critical").as_double();
+  m.area_macs = j.at("area_macs").as_double();
+  return m;
+}
+
+void write_run_sections(const RunSections& sections, Json& j) {
+  j.set("emission", to_json(sections.emission));
+
+  const ReportTimings& timings = sections.timings;
+  Json t = Json::object();
+  t.set("extract_ms", timings.extract_ms);
+  t.set("identify_ms", timings.identify_ms);
+  t.set("emit_ms", timings.emit_ms);
+  t.set("total_ms", timings.total_ms);
+  j.set("timings", std::move(t));
+
+  const CacheReport& cache = sections.cache;
+  Json c = Json::object();
+  c.set("enabled", cache.enabled);
+  c.set("hits", cache.counters.hits);
+  c.set("misses", cache.counters.misses);
+  c.set("dfg_hits", cache.counters.dfg_hits);
+  c.set("dfg_misses", cache.counters.dfg_misses);
+  c.set("evictions", cache.counters.evictions);
+  c.set("cross_workload_hits", cache.counters.cross_workload_hits);
+  j.set("cache", std::move(c));
+
+  // Present only when subtree parallelism was requested: default-request
+  // reports keep their historical byte layout, and warm runs (no searches)
+  // stay comparable to cold ones.
+  if (const EngineReport& engine = sections.engine; engine.subtree_split_depth != 0) {
+    Json e = Json::object();
+    e.set("subtree_split_depth", engine.subtree_split_depth);
+    e.set("subtree_tasks", engine.subtree_tasks);
+    e.set("split_searches", engine.split_searches);
+    e.set("serial_searches", engine.serial_searches);
+    j.set("engine", std::move(e));
+  }
+  // Present only on cut-short runs, for the same layout-stability reason.
+  if (sections.partial) {
+    j.set("partial", true);
+    j.set("partial_reason", sections.partial_reason);
+  }
+}
+
+void read_run_sections(const Json& j, RunSections& sections) {
+  // Absent in reports serialized before the emission backend existed.
+  if (const Json* e = j.find("emission")) sections.emission = emission_from_json(*e);
+  const Json& t = j.at("timings");
+  ReportTimings& timings = sections.timings;
+  timings.extract_ms = t.at("extract_ms").as_double();
+  timings.identify_ms = t.at("identify_ms").as_double();
+  if (const Json* e = t.find("emit_ms")) timings.emit_ms = e->as_double();
+  timings.total_ms = t.at("total_ms").as_double();
+  const Json& c = j.at("cache");
+  CacheReport& cache = sections.cache;
+  cache.enabled = c.at("enabled").as_bool();
+  cache.counters.hits = c.at("hits").as_uint();
+  cache.counters.misses = c.at("misses").as_uint();
+  cache.counters.dfg_hits = c.at("dfg_hits").as_uint();
+  cache.counters.dfg_misses = c.at("dfg_misses").as_uint();
+  cache.counters.evictions = c.at("evictions").as_uint();
+  // Absent in reports serialized before the portfolio API introduced it.
+  if (const Json* cross = c.find("cross_workload_hits")) {
+    cache.counters.cross_workload_hits = cross->as_uint();
+  }
+  // Absent in reports from serial-engine requests and in archived files.
+  if (const Json* e = j.find("engine")) {
+    EngineReport& engine = sections.engine;
+    engine.subtree_split_depth = static_cast<int>(e->at("subtree_split_depth").as_int());
+    engine.subtree_tasks = e->at("subtree_tasks").as_uint();
+    engine.split_searches = e->at("split_searches").as_uint();
+    engine.serial_searches = e->at("serial_searches").as_uint();
+  }
+  // Absent in complete reports and in archived files.
+  if (const Json* p = j.find("partial")) {
+    sections.partial = p->as_bool();
+    sections.partial_reason = j.at("partial_reason").as_string();
+  }
 }
 
 Json ExplorationReport::to_json() const {
@@ -180,34 +248,7 @@ Json ExplorationReport::to_json() const {
   j.set("afu_area_macs", afu_area_macs);
 
   j.set("validation", isex::to_json(validation));
-  j.set("emission", isex::to_json(emission));
-
-  Json t = Json::object();
-  t.set("extract_ms", timings.extract_ms);
-  t.set("identify_ms", timings.identify_ms);
-  t.set("emit_ms", timings.emit_ms);
-  t.set("total_ms", timings.total_ms);
-  j.set("timings", std::move(t));
-
-  Json c = Json::object();
-  c.set("enabled", cache.enabled);
-  c.set("hits", cache.counters.hits);
-  c.set("misses", cache.counters.misses);
-  c.set("dfg_hits", cache.counters.dfg_hits);
-  c.set("dfg_misses", cache.counters.dfg_misses);
-  c.set("evictions", cache.counters.evictions);
-  c.set("cross_workload_hits", cache.counters.cross_workload_hits);
-  j.set("cache", std::move(c));
-
-  // Present only when subtree parallelism was requested: default-request
-  // reports keep their historical byte layout, and warm runs (no searches)
-  // stay comparable to cold ones.
-  if (engine.subtree_split_depth != 0) j.set("engine", isex::to_json(engine));
-  // Present only on cut-short runs, for the same layout-stability reason.
-  if (partial) {
-    j.set("partial", true);
-    j.set("partial_reason", partial_reason);
-  }
+  write_run_sections(*this, j);
   return j;
 }
 
@@ -228,32 +269,7 @@ ExplorationReport ExplorationReport::from_json(const Json& j) {
   for (const Json& a : j.at("afus").as_array()) r.afus.push_back(afu_from_json(a));
   r.afu_area_macs = j.at("afu_area_macs").as_double();
   r.validation = validation_from_json(j.at("validation"));
-  // Absent in reports serialized before the emission backend existed.
-  if (const Json* e = j.find("emission")) r.emission = emission_from_json(*e);
-  const Json& t = j.at("timings");
-  r.timings.extract_ms = t.at("extract_ms").as_double();
-  r.timings.identify_ms = t.at("identify_ms").as_double();
-  if (const Json* e = t.find("emit_ms")) r.timings.emit_ms = e->as_double();
-  r.timings.total_ms = t.at("total_ms").as_double();
-  const Json& c = j.at("cache");
-  r.cache.enabled = c.at("enabled").as_bool();
-  r.cache.counters.hits = c.at("hits").as_uint();
-  r.cache.counters.misses = c.at("misses").as_uint();
-  r.cache.counters.dfg_hits = c.at("dfg_hits").as_uint();
-  r.cache.counters.dfg_misses = c.at("dfg_misses").as_uint();
-  r.cache.counters.evictions = c.at("evictions").as_uint();
-  // Absent in reports serialized before the portfolio API introduced the
-  // counter; default to 0 so archived report files stay loadable.
-  if (const Json* cross = c.find("cross_workload_hits")) {
-    r.cache.counters.cross_workload_hits = cross->as_uint();
-  }
-  // Absent in reports from serial-engine requests and in archived files.
-  if (const Json* e = j.find("engine")) r.engine = engine_from_json(*e);
-  // Absent in complete reports and in archived files.
-  if (const Json* p = j.find("partial")) {
-    r.partial = p->as_bool();
-    r.partial_reason = j.at("partial_reason").as_string();
-  }
+  read_run_sections(j, r);
   return r;
 }
 

@@ -78,11 +78,6 @@ struct EmissionReport {
   std::vector<AfuInstantiationReport> afu_instantiations;
 };
 
-Json to_json(const ValidationReport& v);
-ValidationReport validation_from_json(const Json& j);
-Json to_json(const EmissionReport& e);
-EmissionReport emission_from_json(const Json& j);
-
 /// What the Explorer's ResultCache did for this run (counter deltas, not
 /// lifetime totals).
 struct CacheReport {
@@ -108,10 +103,42 @@ struct EngineReport {
   std::uint64_t serial_searches = 0;
 };
 
-Json to_json(const EngineReport& e);
-EngineReport engine_from_json(const Json& j);
+/// The sections both report types end with, in their serialized order: what
+/// the emission backends produced, wall-clock timings, the cache's counter
+/// deltas, the subtree runner's counters, and whether the run was cut short.
+struct RunSections {
+  EmissionReport emission;
+  ReportTimings timings;
+  CacheReport cache;
+  EngineReport engine;
 
-struct ExplorationReport {
+  /// True when the run was cut short (deadline, watchdog, client cancel):
+  /// the selection is the best one found before the cancellation, not the
+  /// full search's answer, and emission was skipped. Serialized only when
+  /// set — complete reports keep their historical byte layout.
+  bool partial = false;
+  /// Why the run was cut short (e.g. "deadline_exceeded"); empty when
+  /// `partial` is false.
+  std::string partial_reason;
+};
+
+/// Appends `sections` to the report object `j` (engine only when subtree
+/// parallelism was requested, partial only on cut-short runs).
+void write_run_sections(const RunSections& sections, Json& j);
+/// Inverse of write_run_sections; fields that archived reports predate
+/// (emission, emit_ms, cross_workload_hits, engine, partial) default.
+void read_run_sections(const Json& j, RunSections& sections);
+
+/// A selected cut's metrics, flattened into its report object.
+void write_cut_metrics(const CutMetrics& metrics, Json& j);
+CutMetrics cut_metrics_from_json(const Json& j);
+
+Json to_json(const ValidationReport& v);
+ValidationReport validation_from_json(const Json& j);
+
+/// One application's exploration outcome; the trailing sections are the
+/// RunSections every report carries.
+struct ExplorationReport : RunSections {
   std::string workload;  // empty for user-provided graphs
   std::string scheme;
   Constraints constraints;
@@ -131,24 +158,7 @@ struct ExplorationReport {
   double afu_area_macs = 0.0;  // summed over `afus`
 
   ValidationReport validation;
-  EmissionReport emission;
-  ReportTimings timings;
-  CacheReport cache;
-  EngineReport engine;
 
-  /// True when the run was cut short (deadline, watchdog, client cancel):
-  /// the cuts above are the best selection found before the cancellation,
-  /// not the full search's answer, and emission was skipped. Serialized
-  /// only when set — complete reports keep their historical byte layout.
-  bool partial = false;
-  /// Why the run was cut short (e.g. "deadline_exceeded"); empty when
-  /// `partial` is false.
-  std::string partial_reason;
-
-  /// Verilog of each synthesized AFU (the "verilog" emission target / legacy
-  /// request.emit_verilog); not serialized — see emission.artifacts for the
-  /// hashed, disk-written form.
-  std::vector<std::string> verilog;
   /// The raw selection (bit vectors usable against the extracted DFGs); not
   /// serialized.
   SelectionResult selection;

@@ -7,6 +7,39 @@
 
 namespace isex {
 
+namespace {
+
+/// Nodes reachable from any member of `cut`.
+BitVector reach_of(const Dfg& g, const BitVector& cut) {
+  BitVector out(g.num_nodes());
+  cut.for_each([&](std::size_t v) { out |= g.descendants(NodeId(v)); });
+  return out;
+}
+
+/// True when `cut` can issue alongside the cuts already `kept` in its block,
+/// i.e. collapsing all of them leaves the block acyclic. Every cut is convex
+/// and the kept ones issue together, so a cycle would have to leave `cut`
+/// through kept cuts and re-enter it from one of them.
+bool issuable_with(const Dfg& g, const BitVector& cut, std::span<const BitVector* const> kept) {
+  if (kept.empty()) return true;
+  BitVector reached = reach_of(g, cut);
+  BitVector from_kept(g.num_nodes());
+  std::vector<bool> entered(kept.size(), false);
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (std::size_t k = 0; k < kept.size(); ++k) {
+      if (entered[k] || reached.disjoint_with(*kept[k])) continue;
+      entered[k] = true;
+      from_kept |= reach_of(g, *kept[k]);
+      reached |= from_kept;
+      grew = true;
+    }
+  }
+  return from_kept.disjoint_with(cut);
+}
+
+}  // namespace
+
 SelectionResult select_baseline(std::span<const Dfg> blocks, const LatencyModel& latency,
                                 const Constraints& constraints, int num_instructions,
                                 BaselineAlgorithm algorithm, Executor* executor) {
@@ -47,12 +80,18 @@ SelectionResult select_baseline(std::span<const Dfg> blocks, const LatencyModel&
 
   std::stable_sort(candidates.begin(), candidates.end(),
                    [](const SelectedCut& a, const SelectedCut& b) { return a.merit > b.merit; });
-  if (static_cast<int>(candidates.size()) > num_instructions) {
-    candidates.resize(static_cast<std::size_t>(num_instructions));
-  }
-  for (SelectedCut& sc : candidates) {
+  // Candidates of one block are disjoint and each convex, but two
+  // multi-output clubs can still depend on each other; collapsing both would
+  // leave a cycle. Keep the best candidates that stay issuable together with
+  // those already kept in their block.
+  std::vector<std::vector<const BitVector*>> kept(blocks.size());
+  for (const SelectedCut& sc : candidates) {
+    if (static_cast<int>(result.cuts.size()) == num_instructions) break;
+    const auto b = static_cast<std::size_t>(sc.block_index);
+    if (!issuable_with(blocks[b], sc.cut, kept[b])) continue;
+    kept[b].push_back(&sc.cut);
     result.total_merit += sc.merit;
-    result.cuts.push_back(std::move(sc));
+    result.cuts.push_back(sc);
   }
   return result;
 }

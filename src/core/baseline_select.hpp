@@ -1,6 +1,9 @@
 // Cross-block selection for the baseline identifiers: rank every candidate
 // subgraph by merit and greedily keep the best Ninstr feasible ones — the
-// scheme the paper applies when comparing against Clubbing and MaxMISO.
+// scheme the paper applies when comparing against Clubbing and MaxMISO. A
+// candidate that would form a dependence cycle with the ones already kept
+// in its block (two multi-output clubs feeding each other) is skipped: the
+// pair could not both issue.
 #pragma once
 
 #include <span>

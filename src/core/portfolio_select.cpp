@@ -408,23 +408,17 @@ SelectionResult selection_for_bundle(const PortfolioSelectionResult& result, int
 }
 
 SelectionResult portfolio_to_single(const PortfolioSelectionResult& result) {
-  SelectionResult single;
+  for (const PortfolioSelectedCut& cut : result.cuts) {
+    for (const PortfolioBlockRef& ref : cut.served) {
+      ISEX_CHECK(ref.bundle_index == 0,
+                 "portfolio selection spans several workloads; it has no "
+                 "single-workload view");
+    }
+  }
+  SelectionResult single = selection_for_bundle(result, 0);
   single.identification_calls = result.identification_calls;
   single.stats = result.stats;
   single.total_merit = result.saved_per_bundle.empty() ? 0.0 : result.saved_per_bundle[0];
-  for (const PortfolioSelectedCut& cut : result.cuts) {
-    for (std::size_t k = 0; k < cut.served.size(); ++k) {
-      ISEX_CHECK(cut.served[k].bundle_index == 0,
-                 "portfolio selection spans several workloads; it has no "
-                 "single-workload view");
-      SelectedCut sc;
-      sc.block_index = cut.served[k].block_index;
-      sc.cut = cut.served_cuts[k];
-      sc.merit = cut.merit;
-      sc.metrics = cut.metrics;
-      single.cuts.push_back(std::move(sc));
-    }
-  }
   return single;
 }
 

@@ -35,9 +35,8 @@
 
 namespace isex {
 
-/// Structured emission request (replaces the pre-Explorer build_afus /
-/// rewrite / emit_verilog boolean trio on ExplorationRequest; the old fields
-/// keep working through ExplorationRequest::effective_emission()).
+/// Structured emission request of an ExplorationRequest or
+/// MultiExplorationRequest.
 struct EmissionOptions {
   /// Emitter names resolved against the EmitterRegistry ("verilog",
   /// "c-intrinsics", "dot", "manifest", or user-added).
@@ -49,12 +48,17 @@ struct EmissionOptions {
   /// interpreter and check that the outputs are bit-exact AND that every
   /// custom op executed exactly as often as its block did in the baseline
   /// profile. Mutates the workload module(s); fills the validation report.
+  /// A single-workload report then takes its AFUs (report.afus and the
+  /// emitted artifacts) from the rewrite, which builds each later
+  /// instruction of a block after collapsing the earlier ones — so their
+  /// port order can differ from the AFUs built without verification (and
+  /// from a portfolio report's, which always come from the pristine module).
   bool verify_rewrites = false;
   /// Snapshot AFU descriptions (ports, latency, area) into the report even
-  /// when no target consumes them (the legacy `build_afus` behaviour; implied
-  /// by verify_rewrites and by any module-consuming target). Single-workload
-  /// requests only — PortfolioReport has no AFU-snapshot field, so
-  /// run_portfolio rejects it in favour of module-consuming targets.
+  /// when no target consumes them (implied by verify_rewrites and by any
+  /// module-consuming target). Single-workload requests only —
+  /// PortfolioReport has no AFU-snapshot field, so run_portfolio rejects it
+  /// in favour of module-consuming targets.
   bool build_afus = false;
 
   /// True when this request asks for any emission work at all.

@@ -8,46 +8,11 @@ EmissionPlan plan_from_selection(std::string app_name, const Module* module,
                                  std::span<const Dfg> blocks, const SelectionResult& selection,
                                  std::span<const CustomOp> ops, std::string scheme,
                                  std::string name_prefix) {
-  ISEX_CHECK(ops.empty() || ops.size() == selection.cuts.size(),
-             "plan_from_selection: one CustomOp per selected cut (or none)");
-  EmissionPlan plan;
-  plan.scheme = std::move(scheme);
-  plan.name_prefix = std::move(name_prefix);
-
-  EmissionApp app;
-  app.name = std::move(app_name);
-  app.dir = sanitize_artifact_name(app.name);
-  app.module = module;
-  app.blocks = blocks;
-  for (std::size_t i = 0; i < selection.cuts.size(); ++i) {
-    app.afus.push_back(static_cast<int>(i));
-  }
-  plan.apps.push_back(std::move(app));
-
-  for (std::size_t i = 0; i < selection.cuts.size(); ++i) {
-    const SelectedCut& sc = selection.cuts[i];
-    EmissionAfu afu;
-    if (!ops.empty()) {
-      afu.op = ops[i];
-      afu.rom_module = module;
-    } else {
-      afu.op.name = plan.name_prefix + std::to_string(i);
-    }
-    afu.origin_app = 0;
-    afu.origin_block = sc.block_index;
-    afu.merit = sc.merit;
-    afu.weighted_merit = sc.merit;
-    afu.metrics = sc.metrics;
-    EmissionInstance inst;
-    inst.app_index = 0;
-    inst.block_index = sc.block_index;
-    inst.block = blocks[static_cast<std::size_t>(sc.block_index)].name();
-    inst.nodes = sc.cut.to_string();
-    afu.served.push_back(std::move(inst));
-    afu.served_cut_bits.push_back(sc.cut);
-    plan.afus.push_back(std::move(afu));
-  }
-  return plan;
+  const WorkloadBundle bundle{std::move(app_name), blocks};
+  const Module* const modules[] = {module};
+  return plan_from_portfolio(std::span<const WorkloadBundle>(&bundle, 1), modules,
+                             portfolio_from_single(selection, 1.0), ops, std::move(scheme),
+                             std::move(name_prefix));
 }
 
 EmissionPlan plan_from_portfolio(std::span<const WorkloadBundle> bundles,
@@ -72,7 +37,7 @@ EmissionPlan plan_from_portfolio(std::span<const WorkloadBundle> bundles,
   }
   for (std::size_t i = 0; i < bundles.size(); ++i) {
     EmissionApp app;
-    app.name = bundles[i].name;
+    app.name = bundles[i].name.empty() ? "workload" + std::to_string(i) : bundles[i].name;
     app.dir = sanitize_artifact_name(app.name);
     if (name_uses[app.dir] > 1) app.dir += "_" + std::to_string(i);
     app.weight = bundles[i].weight;

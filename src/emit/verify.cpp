@@ -14,7 +14,7 @@ RewriteVerification rewrite_and_verify(Workload& workload, std::span<const Dfg> 
   RewriteVerification out;
   // Flag the instance before touching the module: a half-transformed module
   // must already count as mutated so it can never poison the name-keyed
-  // extraction cache (see Explorer::run_pipeline).
+  // extraction cache (see extract_workload in api/explorer.cpp).
   workload.mark_mutated();
   Module& module = workload.module();
   Function& fn = *module.find_function(workload.entry().name());

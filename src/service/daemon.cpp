@@ -224,15 +224,10 @@ std::pair<std::string, Json> IsexDaemon::run_job(const ServiceJobPtr& job) {
     hooks.cancel = &job->cancel();
 
     Json data = Json::object();
-    if (frame.single.has_value()) {
-      ExplorationReport report = explorer.run(*frame.single, hooks);
-      data.set("kind", std::string("exploration"));
-      data.set("report", report.to_json());
-    } else {
-      PortfolioReport report = explorer.run_portfolio(*frame.portfolio, hooks);
-      data.set("kind", std::string("portfolio"));
-      data.set("report", report.to_json());
-    }
+    data.set("kind", std::string(frame.single.has_value() ? "exploration" : "portfolio"));
+    data.set("report", frame.single.has_value()
+                           ? explorer.run(*frame.single, hooks).to_json()
+                           : explorer.run_portfolio(*frame.portfolio, hooks).to_json());
     if (frame.search_budget > 0) {
       Json b = Json::object();
       b.set("search_budget", gate.budget());

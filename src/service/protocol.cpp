@@ -140,6 +140,34 @@ void check_common_knobs(int num_instructions, int num_threads, int subtree_split
   }
 }
 
+/// Decodes one of the knobs both request kinds carry; false for any other
+/// key.
+template <typename Request>
+bool run_knob_from_json(const std::string& key, const Json& value, Request& request) {
+  if (key == "scheme") {
+    request.scheme = value.as_string();
+  } else if (key == "constraints") {
+    request.constraints = service_constraints_from_json(value);
+  } else if (key == "num_instructions") {
+    request.num_instructions = static_cast<int>(value.as_int());
+  } else if (key == "num_threads") {
+    request.num_threads = static_cast<int>(value.as_int());
+  } else if (key == "subtree_split_depth") {
+    request.subtree_split_depth = static_cast<int>(value.as_int());
+  } else if (key == "use_cache") {
+    request.use_cache = value.as_bool();
+  } else if (key == "name_prefix") {
+    request.name_prefix = value.as_string();
+  } else if (key == "emission") {
+    throw ServiceError(kErrBadRequest,
+                       "request: artifact emission is a local-caller feature; the "
+                       "service does not write artifacts on the daemon host");
+  } else {
+    return false;
+  }
+  return true;
+}
+
 PortfolioWorkloadRequest portfolio_workload_from_json(const Json& j) {
   PortfolioWorkloadRequest wr;
   for_known_keys(j, "workloads[]", [&](const std::string& key, const Json& value) {
@@ -219,37 +247,22 @@ ExplorationRequest exploration_request_from_json(const Json& j) {
   return request_field("request", [&] {
     ExplorationRequest request;
     for_known_keys(j, "request", [&](const std::string& key, const Json& value) {
+      if (run_knob_from_json(key, value, request)) return true;
       if (key == "workload") {
         request.workload = value.as_string();
       } else if (key == "ir_text") {
         request.ir_text = value.as_string();
-      } else if (key == "scheme") {
-        request.scheme = value.as_string();
-      } else if (key == "constraints") {
-        request.constraints = service_constraints_from_json(value);
-      } else if (key == "num_instructions") {
-        request.num_instructions = static_cast<int>(value.as_int());
       } else if (key == "area") {
         request.area = area_options_from_json(value);
       } else if (key == "dfg_options") {
         request.dfg_options = dfg_options_from_json(value);
-      } else if (key == "num_threads") {
-        request.num_threads = static_cast<int>(value.as_int());
-      } else if (key == "subtree_split_depth") {
-        request.subtree_split_depth = static_cast<int>(value.as_int());
-      } else if (key == "use_cache") {
-        request.use_cache = value.as_bool();
-      } else if (key == "name_prefix") {
-        request.name_prefix = value.as_string();
       } else if (key == "graphs") {
         throw ServiceError(kErrBadRequest,
                            "request: pre-extracted graphs are not servable — ship the "
                            "kernel as an ir_text workload document instead");
-      } else if (key == "emission" || key == "build_afus" || key == "rewrite" ||
-                 key == "emit_verilog") {
-        throw ServiceError(kErrBadRequest,
-                           "request: artifact emission is a local-caller feature; the "
-                           "service does not write artifacts on the daemon host");
+      } else if (key == "build_afus" || key == "rewrite" || key == "emit_verilog") {
+        // The boolean emission switches requests once carried.
+        return run_knob_from_json("emission", value, request);
       } else {
         return false;
       }
@@ -294,32 +307,15 @@ MultiExplorationRequest multi_exploration_request_from_json(const Json& j) {
   return request_field("request", [&] {
     MultiExplorationRequest request;
     for_known_keys(j, "request", [&](const std::string& key, const Json& value) {
+      if (run_knob_from_json(key, value, request)) return true;
       if (key == "workloads") {
         for (const Json& app : value.as_array()) {
           request.workloads.push_back(portfolio_workload_from_json(app));
         }
-      } else if (key == "scheme") {
-        request.scheme = value.as_string();
-      } else if (key == "constraints") {
-        request.constraints = service_constraints_from_json(value);
-      } else if (key == "num_instructions") {
-        request.num_instructions = static_cast<int>(value.as_int());
       } else if (key == "max_area_macs") {
         request.max_area_macs = value.as_double();
       } else if (key == "area_grid_macs") {
         request.area_grid_macs = value.as_double();
-      } else if (key == "num_threads") {
-        request.num_threads = static_cast<int>(value.as_int());
-      } else if (key == "subtree_split_depth") {
-        request.subtree_split_depth = static_cast<int>(value.as_int());
-      } else if (key == "use_cache") {
-        request.use_cache = value.as_bool();
-      } else if (key == "name_prefix") {
-        request.name_prefix = value.as_string();
-      } else if (key == "emission") {
-        throw ServiceError(kErrBadRequest,
-                           "request: artifact emission is a local-caller feature; the "
-                           "service does not write artifacts on the daemon host");
       } else {
         return false;
       }

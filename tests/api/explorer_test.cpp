@@ -282,8 +282,8 @@ TEST(Explorer, WorkloadPipelineRewritesAndValidates) {
   request.scheme = "iterative";
   request.constraints = cons(4, 2);
   request.num_instructions = 2;
-  request.rewrite = true;
-  request.emit_verilog = true;
+  request.emission.verify_rewrites = true;
+  request.emission.targets = {"verilog"};
 
   const Explorer explorer(kLat);
   Workload w = find_workload("gsm");
@@ -295,8 +295,9 @@ TEST(Explorer, WorkloadPipelineRewritesAndValidates) {
   EXPECT_LT(report.validation.cycles_after, report.validation.cycles_before);
   EXPECT_GT(report.validation.measured_speedup, 1.0);
   ASSERT_EQ(report.afus.size(), report.cuts.size());
-  ASSERT_EQ(report.verilog.size(), report.afus.size());
-  EXPECT_NE(report.verilog[0].find("module"), std::string::npos);
+  // One Verilog module per AFU, plus gsm's wrapper.
+  ASSERT_EQ(report.emission.artifacts.size(), report.afus.size() + 1);
+  EXPECT_EQ(report.emission.artifacts[0].path, "afu/" + report.afus[0].name + ".v");
   EXPECT_GT(report.afu_area_macs, 0.0);
 }
 
@@ -342,7 +343,7 @@ TEST(ExplorationReport, JsonRoundTripsByteIdentically) {
   request.constraints.branch_and_bound = true;
   request.constraints.search_budget = 123456;
   request.num_instructions = 3;
-  request.build_afus = true;
+  request.emission.build_afus = true;
 
   const Explorer explorer(kLat);
   const ExplorationReport report = explorer.run(request);

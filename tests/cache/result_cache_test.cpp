@@ -413,7 +413,7 @@ TEST(ExplorerCache, RewriteBypassesTheExtractionCacheButKeepsPristineEntries) {
 
   // The rewrite works on its own fresh instance: it must neither consume
   // nor feed the extraction cache.
-  request.rewrite = true;
+  request.emission.verify_rewrites = true;
   const ExplorationReport rewritten = explorer.run(request);
   EXPECT_TRUE(rewritten.validation.bit_exact);
   EXPECT_EQ(rewritten.cache.counters.dfg_hits, 0u);
@@ -421,7 +421,7 @@ TEST(ExplorerCache, RewriteBypassesTheExtractionCacheButKeepsPristineEntries) {
 
   // The pristine entry stored by the first run is still valid for by-name
   // requests (each builds a fresh pristine instance) and survives.
-  request.rewrite = false;
+  request.emission.verify_rewrites = false;
   const ExplorationReport after = explorer.run(request);
   EXPECT_EQ(after.cache.counters.dfg_hits, 1u);
   EXPECT_EQ(after.cache.counters.dfg_misses, 0u);
@@ -459,13 +459,13 @@ TEST(ExplorerCache, PostRewriteInstanceNeverPoisonsTheExtractionCache) {
   request.num_instructions = 2;
 
   Workload w = find_workload("crc32");
-  request.rewrite = true;
+  request.emission.verify_rewrites = true;
   const ExplorationReport rewritten = explorer.run(w, request);
   ASSERT_TRUE(rewritten.validation.bit_exact);
   EXPECT_TRUE(w.mutated());
 
   // The mutated instance bypasses the extraction cache entirely.
-  request.rewrite = false;
+  request.emission.verify_rewrites = false;
   const ExplorationReport tainted = explorer.run(w, request);
   EXPECT_EQ(tainted.cache.counters.dfg_hits, 0u);
   EXPECT_EQ(tainted.cache.counters.dfg_misses, 0u);

@@ -1,17 +1,18 @@
 // Property tests pinning the word-parallel enumeration engines against the
-// retained reference implementation (core/reference_search.hpp): on random
-// DAGs under random constraints, find_best_cut / find_best_cuts must return
-// BYTE-identical results — cut bits, bitwise-equal merits, every metrics
+// retained reference implementation (tests/oracle/reference_search.hpp): on
+// random DAGs under random constraints, find_best_cut / find_best_cuts must
+// return BYTE-identical results — cut bits, bitwise-equal merits, every metrics
 // field and every statistics counter — serially and across subtree-split
 // depths and thread counts.
 #include <gtest/gtest.h>
 
 #include "core/multi_cut.hpp"
-#include "core/reference_search.hpp"
 #include "core/single_cut.hpp"
 #include "dfg/random_dag.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+
+#include "reference_search.hpp"
 
 namespace isex {
 namespace {

@@ -8,11 +8,12 @@
 #include <memory>
 #include <vector>
 
-#include "core/reference_search.hpp"
 #include "core/search_tables.hpp"
 #include "core/single_cut.hpp"
 #include "dfg/random_dag.hpp"
 #include "support/parallel.hpp"
+
+#include "reference_search.hpp"
 
 namespace isex {
 namespace {

@@ -293,6 +293,45 @@ TEST(BaselineSelect, KeepsBestNInstr) {
   EXPECT_EQ(r.cuts[1].block_index, 1);
 }
 
+TEST(BaselineSelect, SkipsClubsThatCouldNotIssueTogether) {
+  // Two convex two-output clubs of one block, A = {a1, a2} and B = {b1, b2},
+  // feed each other (a1 -> b2 and b1 -> a2). Collapsing both would leave a
+  // cycle, so only one of them can become an instruction.
+  Dfg g;
+  const NodeId x = g.add_input();
+  const NodeId y = g.add_input();
+  const NodeId a1 = g.add_op(Opcode::mul);
+  const NodeId b1 = g.add_op(Opcode::mul);
+  const NodeId a2 = g.add_op(Opcode::add);
+  const NodeId b2 = g.add_op(Opcode::add);
+  for (const NodeId m : {a1, b1}) {
+    g.add_edge(x, m);
+    g.add_edge(y, m);
+  }
+  g.add_edge(a1, a2);
+  g.add_edge(b1, a2);
+  g.add_edge(b1, b2);
+  g.add_edge(a1, b2);
+  g.add_output(a2);
+  g.add_output(b2);
+  g.set_exec_freq(10.0);
+  g.finalize();
+  std::vector<Dfg> blocks{std::move(g)};
+
+  const std::vector<BitVector> clubs = find_clubs(blocks[0], kLat, cons(4, 2));
+  ASSERT_EQ(clubs.size(), 2u);
+  for (const BitVector& club : clubs) {
+    ASSERT_EQ(club.count(), 2u);
+    ASSERT_EQ(compute_metrics(blocks[0], club, kLat).outputs, 2);
+  }
+
+  const SelectionResult r =
+      select_baseline(blocks, kLat, cons(4, 2), 2, BaselineAlgorithm::clubbing);
+  ASSERT_EQ(r.cuts.size(), 1u);
+  EXPECT_GT(r.cuts[0].merit, 0.0);
+  EXPECT_EQ(r.total_merit, r.cuts[0].merit);
+}
+
 TEST(Selection, IterativeBeatsOrMatchesBaselines) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     RandomDagConfig cfg;

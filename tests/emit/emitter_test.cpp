@@ -1,6 +1,5 @@
 // The pluggable emission backend: registry behaviour, option validation
-// (contradictory/no-op combinations fault with structured errors — the old
-// boolean API ignored them silently), the legacy-field adapter, artifact
+// (contradictory/no-op combinations fault with structured errors), artifact
 // generation for single and portfolio runs, attribution in the manifest,
 // rewrite-verify invocation-count checking, disk writing and the report JSON
 // round-trip of the emission section.
@@ -10,6 +9,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "afu/afu_builder.hpp"
+#include "afu/verilog.hpp"
 #include "api/explorer.hpp"
 #include "emit/verify.hpp"
 #include "support/hash.hpp"
@@ -94,25 +95,12 @@ TEST(EmissionOptions, GraphOnlyRequestRejectsModuleTargets) {
     EXPECT_EQ(e.field(), "verilog");
     EXPECT_NE(e.reason().find("module"), std::string::npos);
   }
-}
-
-TEST(EmissionOptions, LegacyEmitVerilogWithoutModuleNoLongerSilentlyNoOps) {
-  // Regression for the old-field adapter: `emit_verilog = true` on a
-  // graph-only request used to do nothing at all; it now faults with the
-  // same structured error as the new API.
-  const Explorer explorer(kLat);
-  ExplorationRequest request;
-  request.graphs.push_back(tiny_graph());
-  request.num_instructions = 1;
-  request.emit_verilog = true;
+  // Snapshotting or rewriting AFUs needs a module just the same.
+  request.emission.targets.clear();
+  request.emission.build_afus = true;
   EXPECT_THROW(explorer.run(request), EmissionOptionsError);
-
-  request.emit_verilog = false;
-  request.build_afus = true;
-  EXPECT_THROW(explorer.run(request), EmissionOptionsError);
-
-  request.build_afus = false;
-  request.rewrite = true;
+  request.emission.build_afus = false;
+  request.emission.verify_rewrites = true;
   EXPECT_THROW(explorer.run(request), EmissionOptionsError);
 }
 
@@ -154,51 +142,13 @@ TEST(EmissionOptions, GraphOnlyRequestsCanStillEmitGraphArtifacts) {
   EXPECT_EQ(report.emission.afu_instantiations[0].count, 1);
 }
 
-// --- legacy adapter ----------------------------------------------------------
-
-TEST(EmissionAdapter, LegacyBooleansMatchTheNewOptionsByteForByte) {
-  ExplorationRequest legacy;
-  legacy.workload = "gsm";
-  legacy.scheme = "iterative";
-  legacy.constraints = cons(4, 2);
-  legacy.num_instructions = 2;
-  legacy.rewrite = true;
-  legacy.emit_verilog = true;
-
-  ExplorationRequest modern = legacy;
-  modern.rewrite = false;
-  modern.emit_verilog = false;
-  modern.emission.targets = {"verilog"};
-  modern.emission.verify_rewrites = true;
-
-  const Explorer explorer(kLat);
-  const ExplorationReport a = explorer.run(legacy);
-  const ExplorationReport b = explorer.run(modern);
-
-  ASSERT_EQ(a.verilog.size(), b.verilog.size());
-  for (std::size_t i = 0; i < a.verilog.size(); ++i) {
-    EXPECT_EQ(a.verilog[i], b.verilog[i]) << i;
-  }
-  ASSERT_EQ(a.afus.size(), b.afus.size());
-  for (std::size_t i = 0; i < a.afus.size(); ++i) {
-    EXPECT_EQ(a.afus[i].name, b.afus[i].name);
-    EXPECT_EQ(a.afus[i].area_macs, b.afus[i].area_macs);
-  }
-  EXPECT_TRUE(a.validation.bit_exact);
-  EXPECT_TRUE(a.validation.counts_match);
-  EXPECT_EQ(a.validation.cycles_after, b.validation.cycles_after);
-  EXPECT_EQ(a.afu_area_macs, b.afu_area_macs);
-  // The adapter routes the legacy booleans through the same emitters, so the
-  // artifact hashes agree too.
-  ASSERT_EQ(a.emission.artifacts.size(), b.emission.artifacts.size());
-  for (std::size_t i = 0; i < a.emission.artifacts.size(); ++i) {
-    EXPECT_EQ(a.emission.artifacts[i].hash, b.emission.artifacts[i].hash);
-  }
-}
-
 // --- single-workload emission ------------------------------------------------
 
-TEST(Emission, VerilogArtifactsMatchTheLegacyReportField) {
+TEST(Emission, VerilogArtifactsMatchADirectRenderOfEachAfu) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "isex_emit_render_test";
+  fs::remove_all(dir);
+
   ExplorationRequest request;
   request.workload = "crc32";
   request.scheme = "iterative";
@@ -207,20 +157,26 @@ TEST(Emission, VerilogArtifactsMatchTheLegacyReportField) {
   request.constraints.prune_permanent_inputs = true;
   request.num_instructions = 2;
   request.emission.targets = {"verilog", "c-intrinsics", "dot", "manifest"};
+  request.emission.out_dir = dir.string();
 
   const Explorer explorer(kLat);
   const ExplorationReport report = explorer.run(request);
   ASSERT_FALSE(report.cuts.empty());
-  ASSERT_EQ(report.verilog.size(), report.afus.size());
   ASSERT_EQ(report.afus.size(), report.cuts.size());
 
-  // One per-instruction module artifact, byte-identical to report.verilog.
+  // One per-instruction module artifact, byte-identical to rendering the
+  // AFU built from a fresh instance of the kernel.
+  Workload w = find_workload("crc32");
+  w.preprocess();
+  const std::vector<Dfg> blocks = w.extract_dfgs();
   for (std::size_t i = 0; i < report.afus.size(); ++i) {
-    const ArtifactReport* artifact =
-        find_artifact(report.emission, "afu/" + report.afus[i].name + ".v");
-    ASSERT_NE(artifact, nullptr) << report.afus[i].name;
-    EXPECT_EQ(artifact->bytes, report.verilog[i].size());
-    EXPECT_EQ(artifact->hash, artifact_hash_hex(hash_bytes(report.verilog[i])));
+    const SelectedCut& sc = report.selection.cuts[i];
+    const CustomOp op = build_afu(w.module(), w.entry(),
+                                  blocks[static_cast<std::size_t>(sc.block_index)], sc.cut,
+                                  kLat, "isex" + std::to_string(i))
+                            .op;
+    EXPECT_EQ(op.name, report.afus[i].name);
+    EXPECT_EQ(read_file(dir / ("afu/" + op.name + ".v")), emit_verilog(w.module(), op));
   }
   // Wrapper, header, manifest all present; the manifest is valid JSON naming
   // every other artifact.
@@ -230,6 +186,7 @@ TEST(Emission, VerilogArtifactsMatchTheLegacyReportField) {
   ASSERT_EQ(report.emission.afu_instantiations.size(), 1u);
   EXPECT_EQ(report.emission.afu_instantiations[0].count,
             static_cast<int>(report.afus.size()));
+  fs::remove_all(dir);
 }
 
 TEST(Emission, ArtifactsWrittenToDiskMatchTheReportedHashes) {

@@ -7,6 +7,7 @@
 // is what makes the CI diff against these files meaningful.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -29,8 +30,19 @@ std::string read_golden(const std::string& name) {
   return os.str();
 }
 
-const std::string* artifact_content(const ExplorationReport& report, std::size_t index) {
-  return index < report.verilog.size() ? &report.verilog[index] : nullptr;
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing artifact " << path;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+std::string artifact_hash(const EmissionReport& emission, const std::string& path) {
+  for (const ArtifactReport& a : emission.artifacts) {
+    if (a.path == path) return a.hash;
+  }
+  return {};
 }
 
 ExplorationRequest golden_request(const std::string& workload) {
@@ -55,36 +67,34 @@ TEST_P(GoldenEmission, VerilogAndIntrinsicsAreByteIdenticalToTheGoldenFiles) {
   ASSERT_FALSE(golden_v.empty());
   ASSERT_FALSE(golden_h.empty());
 
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / ("isex_golden_" + workload);
+  fs::remove_all(dir);
+
   const Explorer explorer;
   ExplorationRequest request = golden_request(workload);
+  request.emission.out_dir = dir.string();
   const ExplorationReport serial = explorer.run(request);
   ASSERT_EQ(serial.afus.size(), 1u);
   EXPECT_EQ(serial.afus[0].name, "isex0");
-  ASSERT_NE(artifact_content(serial, 0), nullptr);
-  EXPECT_EQ(*artifact_content(serial, 0), golden_v) << workload;
-
-  const auto header_of = [&](const ExplorationReport& report) -> std::string {
-    for (std::size_t i = 0; i < report.emission.artifacts.size(); ++i) {
-      if (report.emission.artifacts[i].path == workload + "/" + workload + "_intrinsics.h") {
-        return report.emission.artifacts[i].hash;
-      }
-    }
-    return {};
-  };
-  // The header's pinned bytes are checked via the content hash (the report
-  // does not carry header bytes inline) against a hash of the golden file.
-  EXPECT_EQ(header_of(serial), artifact_hash_hex(hash_bytes(golden_h))) << workload;
+  EXPECT_EQ(read_file(dir / "afu/isex0.v"), golden_v) << workload;
+  EXPECT_EQ(read_file(dir / workload / (workload + "_intrinsics.h")), golden_h) << workload;
+  fs::remove_all(dir);
+  request.emission.out_dir.clear();
 
   // Thread count and cache mode must not move a single byte.
+  const std::string header = workload + "/" + workload + "_intrinsics.h";
+  const std::string golden_v_hash = artifact_hash_hex(hash_bytes(golden_v));
+  const std::string golden_h_hash = artifact_hash_hex(hash_bytes(golden_h));
   request.num_threads = 4;
   const ExplorationReport parallel = explorer.run(request);
-  EXPECT_EQ(*artifact_content(parallel, 0), golden_v);
-  EXPECT_EQ(header_of(parallel), header_of(serial));
+  EXPECT_EQ(artifact_hash(parallel.emission, "afu/isex0.v"), golden_v_hash);
+  EXPECT_EQ(artifact_hash(parallel.emission, header), golden_h_hash);
   request.num_threads = 1;
   request.use_cache = false;
   const ExplorationReport uncached = explorer.run(request);
-  EXPECT_EQ(*artifact_content(uncached, 0), golden_v);
-  EXPECT_EQ(header_of(uncached), header_of(serial));
+  EXPECT_EQ(artifact_hash(uncached.emission, "afu/isex0.v"), golden_v_hash);
+  EXPECT_EQ(artifact_hash(uncached.emission, header), golden_h_hash);
 
   // The one-bundle portfolio path (what `portfolio_explore <workload>
   // --ninstr 1 --emit-dir` runs in CI) emits the same bytes.
@@ -95,20 +105,8 @@ TEST_P(GoldenEmission, VerilogAndIntrinsicsAreByteIdenticalToTheGoldenFiles) {
   multi.num_instructions = 1;
   multi.emission.targets = {"verilog", "c-intrinsics"};
   const PortfolioReport portfolio = explorer.run_portfolio(multi);
-  bool found_v = false;
-  bool found_h = false;
-  for (const ArtifactReport& a : portfolio.emission.artifacts) {
-    if (a.path == "afu/isex0.v") {
-      EXPECT_EQ(a.hash, artifact_hash_hex(hash_bytes(golden_v)));
-      found_v = true;
-    }
-    if (a.path == workload + "/" + workload + "_intrinsics.h") {
-      EXPECT_EQ(a.hash, artifact_hash_hex(hash_bytes(golden_h)));
-      found_h = true;
-    }
-  }
-  EXPECT_TRUE(found_v) << workload;
-  EXPECT_TRUE(found_h) << workload;
+  EXPECT_EQ(artifact_hash(portfolio.emission, "afu/isex0.v"), golden_v_hash) << workload;
+  EXPECT_EQ(artifact_hash(portfolio.emission, header), golden_h_hash) << workload;
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, GoldenEmission,

@@ -1,7 +1,7 @@
 // Retained pre-rebuild engines. Deliberately untouched beyond renames: this
 // file is the executable specification tests/benches pin the fast engines
 // against, so its logic must track the paper, not the optimisations.
-#include "core/reference_search.hpp"
+#include "reference_search.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -10,7 +10,8 @@
 // (cut bits, bitwise-equal merits, every statistics counter) to these
 // functions on random DAGs under random constraints, across subtree-split
 // thread counts, and the identification_scaling bench measures the fast
-// engines' speedup over them.
+// engines' speedup over them. They build into the isex_reference support
+// library that those two link, never into libisex.
 #pragma once
 
 #include "core/multi_cut.hpp"
