@@ -261,7 +261,7 @@ ExplorationRequest exploration_request_from_json(const Json& j) {
                            "request: pre-extracted graphs are not servable — ship the "
                            "kernel as an ir_text workload document instead");
       } else if (key == "build_afus" || key == "rewrite" || key == "emit_verilog") {
-        // The boolean emission switches requests once carried.
+        // Boolean emission switches older clients may still send.
         return run_knob_from_json("emission", value, request);
       } else {
         return false;

@@ -18,13 +18,11 @@
 // module. Graph-only rows and an ir_text twin of crc32 cover the other
 // application kinds.
 //
-// To print a fresh table after a deliberate behaviour change, run the suite
-// with ISEX_PARITY_PRINT=1 and paste the rows it prints.
+// A mismatch reports the re-recorded row in table syntax, ready to paste
+// after a deliberate behaviour change.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -668,21 +666,16 @@ std::vector<Row> computed_rows(const std::string& label) {
 class PipelineParity : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PipelineParity, ReportsAndPhasePayloadsMatchTheRecordedDigests) {
-  const std::vector<Row> rows = computed_rows(GetParam());
-  if (std::getenv("ISEX_PARITY_PRINT") != nullptr) {
-    for (const Row& row : rows) {
-      std::cout << "    {\"" << row.key << "\", \"" << row.single << "\", \"" << row.portfolio
-                << "\"},\n";
-    }
-  }
-  for (const Row& row : rows) {
+  for (const Row& row : computed_rows(GetParam())) {
+    const std::string line =
+        "{\"" + row.key + "\", \"" + row.single + "\", \"" + row.portfolio + "\"},";
     const Row* recorded = nullptr;
     for (const Row& r : kRows) {
       if (r.key == row.key) recorded = &r;
     }
-    ASSERT_NE(recorded, nullptr) << "no recorded digest for '" << row.key << "'";
-    EXPECT_EQ(row.single, recorded->single) << row.key << " (run)";
-    EXPECT_EQ(row.portfolio, recorded->portfolio) << row.key << " (run_portfolio)";
+    ASSERT_NE(recorded, nullptr) << "no recorded row: " << line;
+    EXPECT_EQ(row.single, recorded->single) << "run(); re-recorded row: " << line;
+    EXPECT_EQ(row.portfolio, recorded->portfolio) << "run_portfolio(); re-recorded row: " << line;
   }
 }
 
