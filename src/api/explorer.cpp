@@ -146,7 +146,7 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
     throw Error("scheme '" + knobs.scheme +
                 "' selects for a single application but the request carries " +
                 std::to_string(apps.size()) + " workloads (portfolio-capable: " +
-                join_scheme_names(explorer.registry().portfolio_names()) + ")");
+                join_names(explorer.registry().portfolio_names()) + ")");
   }
 
   // Reject contradictory or no-op emission requests before any work runs

@@ -1,7 +1,5 @@
 #include "api/scheme.hpp"
 
-#include <algorithm>
-
 #include "core/baseline_select.hpp"
 #include "core/iterative_select.hpp"
 #include "core/optimal_select.hpp"
@@ -56,15 +54,6 @@ class PortfolioScheme : public SelectionScheme {
 
 }  // namespace
 
-std::string join_scheme_names(const std::vector<std::string>& names) {
-  std::string out;
-  for (const std::string& n : names) {
-    if (!out.empty()) out += ", ";
-    out += n;
-  }
-  return out;
-}
-
 std::span<const Dfg> SchemeInputs::single_workload_blocks(const std::string& scheme) const {
   if (bundles.size() != 1) {
     throw Error("scheme '" + scheme + "' selects for a single application but the request "
@@ -74,13 +63,6 @@ std::span<const Dfg> SchemeInputs::single_workload_blocks(const std::string& sch
   }
   return bundles[0].blocks;
 }
-
-SchemeNotFoundError::SchemeNotFoundError(std::string requested,
-                                         std::vector<std::string> registered)
-    : Error("unknown selection scheme '" + requested +
-            "' (registered: " + join_scheme_names(registered) + ")"),
-      requested_(std::move(requested)),
-      registered_(std::move(registered)) {}
 
 void register_builtin_schemes(SchemeRegistry& registry) {
   registry.add(std::make_unique<SingleWorkloadScheme>(
@@ -159,50 +141,11 @@ SchemeRegistry& SchemeRegistry::global() {
   return *registry;
 }
 
-void SchemeRegistry::add(std::unique_ptr<SelectionScheme> scheme) {
-  ISEX_CHECK(scheme != nullptr, "null scheme");
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& existing : schemes_) {
-    ISEX_CHECK(existing->name() != scheme->name(),
-               "scheme '" + scheme->name() + "' already registered");
-  }
-  schemes_.push_back(std::move(scheme));
-}
-
-const SelectionScheme* SchemeRegistry::find(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& scheme : schemes_) {
-    if (scheme->name() == name) return scheme.get();
-  }
-  return nullptr;
-}
-
-const SelectionScheme& SchemeRegistry::get(const std::string& name) const {
-  const SelectionScheme* scheme = find(name);
-  if (scheme == nullptr) throw SchemeNotFoundError(name, names());
-  return *scheme;
-}
-
-std::vector<std::string> SchemeRegistry::names() const {
-  std::vector<std::string> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out.reserve(schemes_.size());
-    for (const auto& scheme : schemes_) out.push_back(scheme->name());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 std::vector<std::string> SchemeRegistry::portfolio_names() const {
   std::vector<std::string> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& scheme : schemes_) {
-      if (scheme->supports_portfolio()) out.push_back(scheme->name());
-    }
+  for (std::string& name : names()) {
+    if (get(name).supports_portfolio()) out.push_back(std::move(name));
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -13,8 +13,6 @@
 // ExplorationRequest or MultiExplorationRequest.
 #pragma once
 
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -24,6 +22,7 @@
 #include "core/selection.hpp"
 #include "latency/latency_model.hpp"
 #include "support/parallel.hpp"
+#include "support/registry.hpp"
 
 namespace isex {
 
@@ -105,21 +104,8 @@ class SelectionScheme {
   virtual PortfolioSelectionResult select(const SchemeInputs& inputs) const = 0;
 };
 
-/// Unknown-name lookup failure of a SchemeRegistry: carries the requested
-/// name and the registered names so callers (CLIs, services) can render a
-/// structured "did you mean" without parsing the message.
-class SchemeNotFoundError : public Error {
- public:
-  SchemeNotFoundError(std::string requested, std::vector<std::string> registered);
-
-  const std::string& requested() const { return requested_; }
-  /// Registered names at lookup time, sorted.
-  const std::vector<std::string>& registered() const { return registered_; }
-
- private:
-  std::string requested_;
-  std::vector<std::string> registered_;
-};
+/// Unknown-name lookup failure of a SchemeRegistry (see NotFoundError).
+using SchemeNotFoundError = NotFoundError<SelectionScheme>;
 
 /// Thread-safe name-keyed scheme registry. The global() instance comes with
 /// the built-in schemes:
@@ -133,37 +119,21 @@ class SchemeNotFoundError : public Error {
 ///                       applications under the shared opcode budget
 ///   merge-then-select — portfolio: per-application candidates, fingerprint
 ///                       dedup, shared knapsack-style selection
-class SchemeRegistry {
+class SchemeRegistry : public Registry<SelectionScheme> {
  public:
   /// The process-wide registry (built-ins pre-registered).
   static SchemeRegistry& global();
 
   /// An empty registry (tests, sandboxing user schemes).
-  SchemeRegistry() = default;
+  SchemeRegistry() : Registry("selection scheme") {}
 
-  /// Registers a scheme under scheme->name(); throws on duplicates.
-  void add(std::unique_ptr<SelectionScheme> scheme);
-  /// Throws SchemeNotFoundError (listing the registered names) when `name`
-  /// is unknown.
-  const SelectionScheme& get(const std::string& name) const;
-  const SelectionScheme* find(const std::string& name) const;
-  /// Registered names, sorted.
-  std::vector<std::string> names() const;
   /// Names of the registered schemes that support portfolios of any size,
   /// sorted.
   std::vector<std::string> portfolio_names() const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<SelectionScheme>> schemes_;
 };
 
 /// Registers the built-in schemes into `registry` (used by global(); exposed
 /// so tests can build isolated registries with the standard contents).
 void register_builtin_schemes(SchemeRegistry& registry);
-
-/// Comma-joins scheme names ("a, b, c") — the one formatter behind every
-/// scheme-listing error message and usage line.
-std::string join_scheme_names(const std::vector<std::string>& names);
 
 }  // namespace isex

@@ -13,8 +13,8 @@
 // The extraction cache keys on (workload name, DfgOptions) and remembers the
 // profiled, frequency-weighted block graphs plus the measured base cycle
 // count, so one Explorer never re-profiles an unchanged workload. Because
-// the word-parallel closure bitsets (ancestor/descendant rows, adjacency
-// masks) live inside the finalized Dfg, a snapshot hit also reuses them —
+// the word-parallel closure bitsets (descendant rows, adjacency masks)
+// live inside the finalized Dfg, a snapshot hit also reuses them —
 // repeated identification over a cached graph never recomputes a closure. Rewriting
 // requests bypass it entirely (a rewrite mutates the module the graphs were
 // extracted from; the cached pristine extraction stays valid for future

@@ -8,8 +8,6 @@
 // the two against each other.
 #pragma once
 
-#include <span>
-
 #include "dfg/dfg.hpp"
 #include "latency/latency_model.hpp"
 
@@ -45,10 +43,5 @@ bool is_feasible(const Dfg& g, const BitVector& members, const LatencyModel& lat
 double node_hw_delay(const Dfg& g, NodeId n, const LatencyModel& latency);
 /// Software cycles of one node on the baseline processor.
 int node_sw_cycles(const Dfg& g, NodeId n, const LatencyModel& latency);
-
-/// Reference check for multiple-cut legality: collapsing every cut into one
-/// vertex (keeping plain nodes) must leave the quotient graph acyclic. Cuts
-/// must be pairwise disjoint.
-bool cuts_jointly_schedulable(const Dfg& g, std::span<const BitVector> cuts);
 
 }  // namespace isex

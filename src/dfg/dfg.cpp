@@ -119,26 +119,16 @@ void Dfg::finalize() {
   }
   ISEX_CHECK(forward.size() == nodes_.size(), "DFG contains a cycle");
 
-  // Descendant closure, processed from sinks backwards; ancestor closure is
-  // its transpose, processed from sources forwards. The enumeration engines
-  // read both as raw word rows (a node can reach the current cut iff its
-  // descendant row intersects the cut bits), so they are computed here once
-  // per graph and shared through the extraction cache.
+  // Descendant closure, processed from sinks backwards. The enumeration
+  // engines read it as raw word rows (a node can reach the current cut iff
+  // its descendant row intersects the cut bits), so it is computed here
+  // once per graph and shared through the extraction cache.
   for (std::size_t k = forward.size(); k-- > 0;) {
     const NodeId n = forward[k];
     BitVector& d = desc_[n.index];
     for (NodeId s : nodes_[n.index].succs) {
       d.set(s.index);
       d |= desc_[s.index];
-    }
-  }
-  anc_.assign(nodes_.size(), BitVector(nodes_.size()));
-  for (std::size_t k = 0; k < forward.size(); ++k) {
-    const NodeId n = forward[k];
-    BitVector& a = anc_[n.index];
-    for (NodeId p : nodes_[n.index].preds) {
-      a.set(p.index);
-      a |= anc_[p.index];
     }
   }
 
@@ -182,12 +172,6 @@ const BitVector& Dfg::descendants(NodeId n) const {
   check_finalized();
   ISEX_ASSERT(n.valid() && n.index < desc_.size(), "invalid node");
   return desc_[n.index];
-}
-
-const BitVector& Dfg::ancestors(NodeId n) const {
-  check_finalized();
-  ISEX_ASSERT(n.valid() && n.index < anc_.size(), "invalid node");
-  return anc_[n.index];
 }
 
 const BitVector& Dfg::data_succ_mask(NodeId n) const {

@@ -77,7 +77,8 @@ class Dfg {
   /// Adds a V+ output node fed by `producer`.
   NodeId add_output(NodeId producer, std::string label = {});
   void add_edge(NodeId from, NodeId to, bool order_only = false);
-  /// Computes orders and closures; must be called after manual construction.
+  /// Computes orders, the descendant closure and the data-adjacency masks;
+  /// must be called after manual construction.
   void finalize();
 
   // --- accessors --------------------------------------------------------
@@ -97,9 +98,6 @@ class Dfg {
   bool reaches(NodeId a, NodeId b) const;
   /// Descendant set of n (excluding n), as a bitvector over node ids.
   const BitVector& descendants(NodeId n) const;
-  /// Ancestor set of n (excluding n) — the transpose closure of
-  /// descendants(), computed once at finalize().
-  const BitVector& ancestors(NodeId n) const;
 
   // Word-parallel data-adjacency masks (computed once at finalize(),
   // shared — like the graph itself — through the extraction cache). The
@@ -131,7 +129,6 @@ class Dfg {
   std::vector<NodeId> op_nodes_;
   std::vector<NodeId> search_order_;
   std::vector<BitVector> desc_;  // transitive descendants per node
-  std::vector<BitVector> anc_;   // transitive ancestors per node
   std::vector<BitVector> data_succ_mask_;  // immediate data successors
   std::vector<BitVector> data_pred_mask_;  // immediate data predecessors
   double exec_freq_ = 1.0;

@@ -1,6 +1,5 @@
 #include "emit/emitter.hpp"
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <unordered_set>
@@ -8,19 +7,6 @@
 #include "support/hash.hpp"
 
 namespace isex {
-
-namespace {
-
-std::string join_names(const std::vector<std::string>& names) {
-  std::string out;
-  for (const std::string& name : names) {
-    if (!out.empty()) out += ", ";
-    out += name;
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string artifact_hash_hex(std::uint64_t hash) {
   static const char* kDigits = "0123456789abcdef";
@@ -43,13 +29,6 @@ std::string sanitize_artifact_name(std::string_view name) {
   return out.empty() ? std::string("_") : out;
 }
 
-EmitterNotFoundError::EmitterNotFoundError(std::string requested,
-                                           std::vector<std::string> registered)
-    : Error("unknown emission target '" + requested +
-            "' (registered: " + join_names(registered) + ")"),
-      requested_(std::move(requested)),
-      registered_(std::move(registered)) {}
-
 EmissionOptionsError::EmissionOptionsError(std::string field, std::string reason)
     : Error("invalid EmissionOptions: '" + field + "' " + reason),
       field_(std::move(field)),
@@ -62,41 +41,6 @@ EmitterRegistry& EmitterRegistry::global() {
     return r;
   }();
   return *registry;
-}
-
-void EmitterRegistry::add(std::unique_ptr<ArtifactEmitter> emitter) {
-  ISEX_CHECK(emitter != nullptr, "cannot register a null emitter");
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& existing : emitters_) {
-    ISEX_CHECK(existing->name() != emitter->name(),
-               "emitter '" + emitter->name() + "' is already registered");
-  }
-  emitters_.push_back(std::move(emitter));
-}
-
-const ArtifactEmitter* EmitterRegistry::find(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& emitter : emitters_) {
-    if (emitter->name() == name) return emitter.get();
-  }
-  return nullptr;
-}
-
-const ArtifactEmitter& EmitterRegistry::get(const std::string& name) const {
-  const ArtifactEmitter* emitter = find(name);
-  if (emitter == nullptr) throw EmitterNotFoundError(name, names());
-  return *emitter;
-}
-
-std::vector<std::string> EmitterRegistry::names() const {
-  std::vector<std::string> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out.reserve(emitters_.size());
-    for (const auto& emitter : emitters_) out.push_back(emitter->name());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 void validate_emission_options(const EmissionOptions& options, const EmitterRegistry& registry,

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -32,6 +31,7 @@
 #include "dfg/dfg.hpp"
 #include "ir/module.hpp"
 #include "support/assert.hpp"
+#include "support/registry.hpp"
 
 namespace isex {
 
@@ -152,21 +152,8 @@ class ArtifactEmitter {
                                             std::span<const EmittedArtifact> prior) const = 0;
 };
 
-/// Unknown-name lookup failure of an EmitterRegistry: carries the requested
-/// name and the registered names so callers can render a structured "did you
-/// mean" without parsing the message.
-class EmitterNotFoundError : public Error {
- public:
-  EmitterNotFoundError(std::string requested, std::vector<std::string> registered);
-
-  const std::string& requested() const { return requested_; }
-  /// Registered names at lookup time, sorted.
-  const std::vector<std::string>& registered() const { return registered_; }
-
- private:
-  std::string requested_;
-  std::vector<std::string> registered_;
-};
+/// Unknown-name lookup failure of an EmitterRegistry (see NotFoundError).
+using EmitterNotFoundError = NotFoundError<ArtifactEmitter>;
 
 /// Contradictory or no-op EmissionOptions combination (e.g. a Verilog target
 /// on a graph-only request, an out_dir with no targets): carries the
@@ -186,26 +173,13 @@ class EmissionOptionsError : public Error {
 
 /// Thread-safe name-keyed emitter registry; the global() instance comes with
 /// the built-in emitters listed at the top of this header.
-class EmitterRegistry {
+class EmitterRegistry : public Registry<ArtifactEmitter> {
  public:
   /// The process-wide registry (built-ins pre-registered).
   static EmitterRegistry& global();
 
   /// An empty registry (tests, sandboxing user emitters).
-  EmitterRegistry() = default;
-
-  /// Registers an emitter under emitter->name(); throws on duplicates.
-  void add(std::unique_ptr<ArtifactEmitter> emitter);
-  /// Throws EmitterNotFoundError (listing the registered names) when `name`
-  /// is unknown.
-  const ArtifactEmitter& get(const std::string& name) const;
-  const ArtifactEmitter* find(const std::string& name) const;
-  /// Registered names, sorted.
-  std::vector<std::string> names() const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<ArtifactEmitter>> emitters_;
+  EmitterRegistry() : Registry("emission target") {}
 };
 
 /// Registers the built-in emitters into `registry` (used by global();

@@ -2,16 +2,12 @@
 
 #include <algorithm>
 
-#include "core/serialize.hpp"
-#include "support/hash.hpp"
-
 namespace isex {
 
 // --- ServiceJob -------------------------------------------------------------
 
-ServiceJob::ServiceJob(RequestFrame frame, std::uint64_t fingerprint,
-                       std::uint64_t compat_key)
-    : frame_(std::move(frame)), fingerprint_(fingerprint), compat_key_(compat_key) {
+ServiceJob::ServiceJob(RequestFrame frame, std::uint64_t fingerprint)
+    : frame_(std::move(frame)), fingerprint_(fingerprint) {
   // Armed before the job is shared with any worker thread (arm_deadline_ms
   // is pre-share-only); the clock starts at admission, so queue wait counts
   // against the deadline.
@@ -64,9 +60,8 @@ bool ServiceJob::finished() const {
 
 // --- AdmissionQueue ---------------------------------------------------------
 
-AdmissionQueue::AdmissionQueue(std::size_t max_queue, std::size_t max_batch)
-    : max_queue_(std::max<std::size_t>(1, max_queue)),
-      max_batch_(std::max<std::size_t>(1, max_batch)) {}
+AdmissionQueue::AdmissionQueue(std::size_t max_queue)
+    : max_queue_(std::max<std::size_t>(1, max_queue)) {}
 
 namespace {
 
@@ -74,8 +69,10 @@ Json accepted_json(const AdmissionResult& result) {
   Json j = Json::object();
   j.set("fingerprint", fingerprint_hex(result.job->fingerprint()));
   j.set("deduped", result.deduped);
-  j.set("batched", result.batched);
-  j.set("batch_size", static_cast<std::uint64_t>(result.batch_size));
+  // Every dispatch runs one job; the two fields stay because v1-v3 clients
+  // read them.
+  j.set("batched", false);
+  j.set("batch_size", std::uint64_t{1});
   j.set("queue_depth", static_cast<std::uint64_t>(result.queue_depth));
   return j;
 }
@@ -92,7 +89,6 @@ Json shutdown_error_json() {
 AdmissionResult AdmissionQueue::submit(RequestFrame frame, std::string id,
                                        EventSinkPtr sink) {
   const std::uint64_t fingerprint = request_fingerprint(frame);
-  const std::uint64_t compat = request_compat_key(frame);
 
   std::unique_lock<std::mutex> lock(mu_);
   if (draining_ || closed_) {
@@ -113,10 +109,10 @@ AdmissionResult AdmissionQueue::submit(RequestFrame frame, std::string id,
   }
 
   if (queue_.size() >= max_queue_) {
-    // Load shedding with a hint: the backlog clears roughly one dispatch at
-    // a time, so suggest a backoff proportional to the depth the client is
-    // behind. Clients jitter on top (see IsexClient); the hint only has to
-    // spread retries, not predict completion.
+    // Load shedding with a hint: the backlog clears one job at a time, so
+    // suggest a backoff proportional to the depth the client is behind.
+    // Clients jitter on top (see IsexClient); the hint only has to spread
+    // retries, not predict completion.
     Json details = Json::object();
     details.set("retry_after_ms", static_cast<std::uint64_t>(100 * queue_.size()));
     throw ServiceError(kErrQueueFull,
@@ -128,15 +124,9 @@ AdmissionResult AdmissionQueue::submit(RequestFrame frame, std::string id,
   // Reserve: the job enters the dedup index now (so identical frames attach
   // to it) but the run queue only after the subscriber's `accepted` event is
   // on the wire — a worker cannot emit a phase event ahead of it.
-  auto job = std::make_shared<ServiceJob>(std::move(frame), fingerprint, compat);
+  auto job = std::make_shared<ServiceJob>(std::move(frame), fingerprint);
   index_.emplace(fingerprint, job);
-  std::size_t group = 1;
-  for (const auto& queued : queue_) {
-    if (queued->compat_key() == compat) ++group;
-  }
   result.job = job;
-  result.batched = group > 1;
-  result.batch_size = group;
   result.queue_depth = queue_.size() + 1;
   lock.unlock();
 
@@ -157,34 +147,21 @@ AdmissionResult AdmissionQueue::submit(RequestFrame frame, std::string id,
   return result;
 }
 
-std::vector<ServiceJobPtr> AdmissionQueue::next_batch() {
+ServiceJobPtr AdmissionQueue::next_job() {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [&] { return closed_ || !queue_.empty(); });
-  if (queue_.empty()) return {};  // closed
+  if (queue_.empty()) return nullptr;  // closed
 
-  std::vector<ServiceJobPtr> batch;
-  batch.push_back(queue_.front());
+  ServiceJobPtr job = std::move(queue_.front());
   queue_.pop_front();
-  const std::uint64_t compat = batch.front()->compat_key();
-  for (auto it = queue_.begin(); it != queue_.end() && batch.size() < max_batch_;) {
-    if ((*it)->compat_key() == compat) {
-      batch.push_back(*it);
-      it = queue_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  in_flight_ += batch.size();
-  const auto now = std::chrono::steady_clock::now();
-  for (const ServiceJobPtr& job : batch) running_.emplace(job.get(), std::make_pair(job, now));
-  return batch;
+  running_.emplace(job, std::chrono::steady_clock::now());
+  return job;
 }
 
 void AdmissionQueue::finish(const ServiceJobPtr& job) {
   std::lock_guard<std::mutex> lock(mu_);
   index_.erase(job->fingerprint());
-  running_.erase(job.get());
-  if (in_flight_ > 0) --in_flight_;
+  running_.erase(job);
 }
 
 std::size_t AdmissionQueue::cancel_overrunning(std::uint64_t max_ms,
@@ -192,9 +169,9 @@ std::size_t AdmissionQueue::cancel_overrunning(std::uint64_t max_ms,
   const auto cutoff = std::chrono::steady_clock::now() - std::chrono::milliseconds(max_ms);
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t cancelled = 0;
-  for (auto& [ptr, entry] : running_) {
-    if (entry.second <= cutoff && !entry.first->cancel().cancelled()) {
-      entry.first->cancel().cancel(reason);
+  for (const auto& [job, started] : running_) {
+    if (started <= cutoff && !job->cancel().cancelled()) {
+      job->cancel().cancel(reason);
       ++cancelled;
     }
   }
@@ -215,25 +192,12 @@ void AdmissionQueue::close() {
 
 bool AdmissionQueue::idle() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return queue_.empty() && in_flight_ == 0;
+  return queue_.empty() && running_.empty();
 }
 
 std::size_t AdmissionQueue::depth() const {
   std::lock_guard<std::mutex> lock(mu_);
   return queue_.size();
-}
-
-std::uint64_t request_compat_key(const RequestFrame& frame) {
-  Json j = Json::object();
-  j.set("type", frame.type);
-  if (frame.single.has_value()) {
-    j.set("scheme", frame.single->scheme);
-    j.set("constraints", to_json(frame.single->constraints));
-  } else if (frame.portfolio.has_value()) {
-    j.set("scheme", frame.portfolio->scheme);
-    j.set("constraints", to_json(frame.portfolio->constraints));
-  }
-  return hash_bytes(j.dump());
 }
 
 }  // namespace isex

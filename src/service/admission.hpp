@@ -1,8 +1,8 @@
 // Admission and scheduling of exploration requests inside the daemon.
 //
 // Every parsed client frame becomes a ServiceJob in a bounded FIFO queue.
-// Three admission policies run at submit time, before any worker touches
-// the job:
+// Two admission policies run at submit time, before any worker touches the
+// job:
 //
 //   * bounding — a full queue rejects with a structured `queue-full` error
 //     instead of letting one flood of requests grow memory without limit;
@@ -11,18 +11,15 @@
 //     client *attaches* to the existing job and receives its event stream
 //     (a late attacher may have missed early phase events, but the terminal
 //     report/error is recorded on the job and replayed, so every subscriber
-//     always gets exactly one terminal event);
-//   * batching — queued jobs that are compatible (same request type, scheme
-//     and microarchitectural constraints, so their identification searches
-//     share memo keys whenever workloads coincide) are handed to one worker
-//     as a single dispatch. The batch shares the worker's warm explorer
-//     state back-to-back while the remaining workers stay free for
-//     unrelated arrivals. `batched`/`batch_size` on the accepted event
-//     describe the compatible group at admission time.
+//     always gets exactly one terminal event).
+//
+// A worker dispatch takes exactly one job, stamped when it starts, so the
+// watchdog charges each job for its own run time only. Jobs share work
+// through the process-wide result store, not through the dispatch.
 //
 // The queue knows nothing about sockets: subscribers are EventSinks, and a
 // sink returning false (client gone) is dropped from the job. Workers call
-// next_batch() (blocking) / finish(); close() wakes every worker for
+// next_job() (blocking) / finish(); close() wakes every worker for
 // shutdown, and drain() keeps workers running while refusing new work.
 #pragma once
 
@@ -62,13 +59,12 @@ using EventSinkPtr = std::shared_ptr<EventSink>;
 /// (dedup attaches extras).
 class ServiceJob {
  public:
-  ServiceJob(RequestFrame frame, std::uint64_t fingerprint, std::uint64_t compat_key);
+  ServiceJob(RequestFrame frame, std::uint64_t fingerprint);
 
   /// The canonical request (the first frame admitted under this
   /// fingerprint). Immutable after construction.
   const RequestFrame& frame() const { return frame_; }
   std::uint64_t fingerprint() const { return fingerprint_; }
-  std::uint64_t compat_key() const { return compat_key_; }
 
   /// The job's cancellation token, armed from the frame's deadline_ms at
   /// construction (queue wait counts against the deadline — an expired
@@ -95,7 +91,6 @@ class ServiceJob {
  private:
   const RequestFrame frame_;
   const std::uint64_t fingerprint_;
-  const std::uint64_t compat_key_;
   CancelToken cancel_;
 
   mutable std::mutex mu_;
@@ -110,33 +105,29 @@ using ServiceJobPtr = std::shared_ptr<ServiceJob>;
 /// What submit() decided, echoed to the client on its `accepted` event.
 struct AdmissionResult {
   ServiceJobPtr job;
-  bool deduped = false;        // attached to an existing job
-  bool batched = false;        // joined a compatible queued group
-  std::size_t batch_size = 1;  // size of that group, this request included
-  std::size_t queue_depth = 0; // queued jobs after this submit
+  bool deduped = false;         // attached to an existing job
+  std::size_t queue_depth = 0;  // queued jobs after this submit
 };
 
 class AdmissionQueue {
  public:
-  /// `max_queue` bounds *queued* (not yet dispatched) jobs; `max_batch`
-  /// caps how many compatible jobs one next_batch() dispatch may coalesce.
-  explicit AdmissionQueue(std::size_t max_queue, std::size_t max_batch = 8);
+  /// `max_queue` bounds *queued* (not yet dispatched) jobs.
+  explicit AdmissionQueue(std::size_t max_queue);
 
   /// Admits one frame for subscriber (`id`, `sink`), delivering the
-  /// subscriber's `accepted` event (fingerprint, deduped, batched,
-  /// batch_size, queue_depth) through the sink before the job can publish
-  /// anything else to it. Fresh jobs enter the run queue only after the
-  /// attach, so their full phase stream follows `accepted`. Throws
-  /// ServiceError(kErrQueueFull) when the queue is at capacity — with a
-  /// `retry_after_ms` hint in the error details so shedding is actionable —
-  /// and ServiceError(kErrShuttingDown) after drain()/close(); dedup
-  /// attaches never fail on a full queue (they add no work).
+  /// subscriber's `accepted` event (see protocol.hpp) through the sink
+  /// before the job can publish anything else to it. Fresh jobs enter the
+  /// run queue only after the attach, so their full phase stream follows
+  /// `accepted`. Throws ServiceError(kErrQueueFull) when the queue is at
+  /// capacity — with a `retry_after_ms` hint in the error details so
+  /// shedding is actionable — and ServiceError(kErrShuttingDown) after
+  /// drain()/close(); dedup attaches never fail on a full queue (they add
+  /// no work).
   AdmissionResult submit(RequestFrame frame, std::string id, EventSinkPtr sink);
 
-  /// Blocks until work is available and returns the head job together with
-  /// every queued compatible job (one dispatch, see file comment). Empty
-  /// means the queue was closed — the worker should exit.
-  std::vector<ServiceJobPtr> next_batch();
+  /// Blocks until work is available and returns the head job, stamped as
+  /// started now. Null means the queue was closed — the worker should exit.
+  ServiceJobPtr next_job();
 
   /// Marks a dispatched job complete: its fingerprint leaves the dedup
   /// index, so identical future frames recompute (typically a cache hit).
@@ -153,7 +144,7 @@ class AdmissionQueue {
   /// in-flight jobs complete; idle() turning true then means the drain is
   /// done.
   void drain();
-  /// drain() plus waking every blocked next_batch() caller with "exit".
+  /// drain() plus waking every blocked next_job() caller with "exit".
   void close();
 
   /// No queued and no dispatched-but-unfinished jobs.
@@ -162,27 +153,17 @@ class AdmissionQueue {
 
  private:
   const std::size_t max_queue_;
-  const std::size_t max_batch_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<ServiceJobPtr> queue_;
   /// Dedup index over queued + in-flight jobs.
   std::unordered_map<std::uint64_t, ServiceJobPtr> index_;
-  /// Dispatched-but-unfinished jobs with their dispatch stamps (the
+  /// Dispatched-but-unfinished jobs with their start stamps (the
   /// watchdog's scan set).
-  std::unordered_map<ServiceJob*,
-                     std::pair<ServiceJobPtr, std::chrono::steady_clock::time_point>>
-      running_;
-  std::size_t in_flight_ = 0;
+  std::unordered_map<ServiceJobPtr, std::chrono::steady_clock::time_point> running_;
   bool draining_ = false;
   bool closed_ = false;
 };
-
-/// The batching compatibility key of a frame: request type, scheme and
-/// constraints (the dimensions under which two requests' identification
-/// searches share memo keys). Portfolios use the portfolio-level scheme and
-/// constraints.
-std::uint64_t request_compat_key(const RequestFrame& frame);
 
 }  // namespace isex

@@ -101,7 +101,8 @@ IsexDaemon::IsexDaemon(DaemonConfig config)
       store_(std::make_unique<ResultStore>(
           ResultStoreConfig{config_.cache_file, config_.cache_config})),
       listener_(std::make_unique<UnixListener>(config_.socket_path)),
-      queue_(config_.max_queue) {}
+      queue_(config_.max_queue),
+      max_request_threads_(static_cast<int>(std::max(1u, std::thread::hardware_concurrency()))) {}
 
 IsexDaemon::~IsexDaemon() {
   // serve() normally drains everything; this is the safety net for a daemon
@@ -187,17 +188,13 @@ void IsexDaemon::snapshot_store() {
 }
 
 void IsexDaemon::worker_loop() {
-  while (true) {
-    std::vector<ServiceJobPtr> batch = queue_.next_batch();
-    if (batch.empty()) return;  // closed
-    for (const ServiceJobPtr& job : batch) {
-      // Close the dedup window *before* the terminal goes out: a client
-      // that reads the report and immediately re-submits must get a fresh
-      // job, not an attach to one whose stream already ended.
-      std::pair<std::string, Json> terminal = run_job(job);
-      queue_.finish(job);
-      job->publish_terminal(terminal.first, terminal.second);
-    }
+  while (const ServiceJobPtr job = queue_.next_job()) {
+    // Close the dedup window *before* the terminal goes out: a client that
+    // reads the report and immediately re-submits must get a fresh job, not
+    // an attach to one whose stream already ended.
+    std::pair<std::string, Json> terminal = run_job(job);
+    queue_.finish(job);
+    job->publish_terminal(terminal.first, terminal.second);
   }
 }
 
@@ -210,7 +207,7 @@ std::pair<std::string, Json> IsexDaemon::run_job(const ServiceJobPtr& job) {
     Explorer explorer(config_.latency, store_->cache(), config_.registry);
     // Per-request budget: every identification search of this job draws on
     // one gate, so the job's aggregate cuts_considered pins at
-    // min(demand, budget) no matter how the work is batched or threaded.
+    // min(demand, budget) no matter how the work is threaded.
     BudgetGate gate(frame.search_budget);
     RunHooks hooks;
     hooks.on_phase = [&job](const std::string& phase, const Json& data) {
@@ -280,6 +277,17 @@ bool IsexDaemon::handle_line(const std::shared_ptr<Connection>& conn,
     RequestFrame frame = parse_request_frame(line, &id, &version);
     if (frame.type == "ping") {
       return conn->emit_versioned(id, "pong", store_->status(), frame.version);
+    }
+    // Every request with num_threads != 1 builds its own thread pool, so
+    // the host bounds what one frame may ask for: past the core count more
+    // threads buy nothing, and a wire-chosen count could exhaust the
+    // process.
+    const int threads = frame.single.has_value() ? frame.single->num_threads
+                                                 : frame.portfolio->num_threads;
+    if (threads > max_request_threads_) {
+      throw ServiceError(kErrBadRequest, "num_threads must be <= " +
+                                             std::to_string(max_request_threads_) +
+                                             " (this host's cores; 0 = all of them)");
     }
     if (config_.max_search_budget > 0 &&
         (frame.search_budget == 0 || frame.search_budget > config_.max_search_budget)) {

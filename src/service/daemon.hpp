@@ -9,13 +9,15 @@
 //   * one reader thread per connection parses frames and submits them — so
 //     requests on one connection are admitted in order and may be
 //     pipelined;
-//   * `num_workers` worker threads call AdmissionQueue::next_batch() and run
-//     each job through a shared-cache Explorer, publishing phase events and
-//     one terminal report/error per job.
+//   * `num_workers` worker threads take one job at a time from
+//     AdmissionQueue::next_job() and run it through a fresh Explorer over
+//     the shared cache, publishing phase events and one terminal
+//     report/error per job.
 //
-// Failure containment: a malformed frame produces one structured error
-// event (correlated by id when the frame carried one) and the connection
-// lives on; transport-level garbage (oversized line, mid-frame disconnect)
+// Failure containment: a malformed frame — including one asking for more
+// identification threads than the host has cores — produces one structured
+// error event (correlated by id when the frame carried one) and the
+// connection lives on; transport-level garbage (oversized line, mid-frame disconnect)
 // drops only that connection; a pipeline exception becomes an `internal`
 // error event for that job's subscribers. Nothing a client sends terminates
 // the daemon.
@@ -47,7 +49,8 @@ struct DaemonConfig {
   std::string socket_path;
   /// Worker threads running explorations (>= 1). Note this is the number of
   /// *concurrent requests*; each request may itself use
-  /// request.num_threads-way identification parallelism.
+  /// request.num_threads-way identification parallelism, up to the host's
+  /// std::thread::hardware_concurrency() (larger requests are bad-requests).
   int num_workers = 2;
   /// Bound on queued (not yet running) requests; beyond it clients get
   /// `queue-full` errors.
@@ -126,6 +129,8 @@ class IsexDaemon {
   std::unique_ptr<ResultStore> store_;
   std::unique_ptr<UnixListener> listener_;
   AdmissionQueue queue_;
+  /// Largest request.num_threads admitted: the host's core count.
+  const int max_request_threads_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> watchdog_stop_{false};
   std::thread watchdog_;

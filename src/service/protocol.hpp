@@ -24,6 +24,8 @@
 // one `report` or `error`:
 //   {"isex": 1, "id": "r1", "event": "accepted",   "data": {fingerprint,
 //        deduped, batched, batch_size, queue_depth}}
+//        (every version carries all five fields; a dispatch runs one job,
+//        so `batched` is always false and `batch_size` always 1)
 //   {"isex": 1, "id": "r1", "event": "extracted",  "data": {...}}
 //   {"isex": 1, "id": "r1", "event": "identified", "data": {...}}
 //   {"isex": 1, "id": "r1", "event": "selected",   "data": {...}}
@@ -38,7 +40,9 @@
 //
 // Malformed input never kills the daemon: every failure class maps to a
 // structured error frame (codes below) or, for transport-level garbage, to
-// a clean connection drop.
+// a clean connection drop. The parser is host-independent; the daemon adds
+// one host bound on top: a `num_threads` above its core count is a
+// bad-request.
 #pragma once
 
 #include <cstdint>

@@ -38,12 +38,22 @@ int ThreadPool::resolved_thread_count(int requested, unsigned hardware) {
 ThreadPool::ThreadPool(int num_threads) {
   num_threads = resolved_thread_count(num_threads, std::thread::hardware_concurrency());
   workers_.reserve(static_cast<std::size_t>(num_threads - 1));
-  for (int i = 1; i < num_threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (int i = 1; i < num_threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // A failed spawn (out of threads or address space) leaves the workers
+    // started so far joinable; destroying them unjoined would terminate
+    // the process, so stop them and let the caller see the failure.
+    stop_workers();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_workers(); }
+
+void ThreadPool::stop_workers() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;

@@ -40,7 +40,9 @@ Executor& serial_executor();
 class ThreadPool : public Executor {
  public:
   /// `num_threads <= 0` uses std::thread::hardware_concurrency(), falling
-  /// back to a single thread when the runtime cannot report one.
+  /// back to a single thread when the runtime cannot report one. When a
+  /// worker cannot be spawned, the workers already started are joined and
+  /// the spawn's exception (typically std::system_error) propagates.
   explicit ThreadPool(int num_threads);
 
   /// Maps a requested thread count onto the count the pool actually uses:
@@ -67,6 +69,8 @@ class ThreadPool : public Executor {
   };
 
   void worker_loop();
+  /// Wakes every worker with the stop flag and joins it.
+  void stop_workers();
   /// Claims and runs indices of the current job until none remain.
   void drain(std::unique_lock<std::mutex>& lock);
 

@@ -5,6 +5,8 @@
 #include "core/single_cut.hpp"
 #include "dfg/random_dag.hpp"
 
+#include "schedulable.hpp"
+
 namespace isex {
 namespace {
 

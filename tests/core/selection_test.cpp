@@ -7,6 +7,8 @@
 #include "core/optimal_select.hpp"
 #include "dfg/random_dag.hpp"
 
+#include "schedulable.hpp"
+
 namespace isex {
 namespace {
 

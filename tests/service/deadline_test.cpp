@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -205,6 +206,50 @@ TEST(ServiceDeadlineDaemon, WatchdogCancelsOverrunningJobs) {
   const Json after = client.explore(request_for("fir", "iterative"));
   EXPECT_EQ(after.at("kind").as_string(), "exploration");
   EXPECT_EQ(after.at("report").find("partial"), nullptr);
+}
+
+TEST(ServiceDeadlineDaemon, WatchdogTimesEveryQueuedJobFromItsOwnStart) {
+  DaemonConfig config = base_config("wdq");
+  config.num_workers = 1;
+  config.max_request_ms = 300;
+  config.registry = blocking_registry();
+  DaemonRunner runner(config);
+
+  const auto blocking_frame = [](const std::string& workload) {
+    RequestFrame frame;
+    frame.type = "explore";
+    frame.single = request_for(workload, "blocking");
+    return frame;
+  };
+
+  // The only worker runs an overrunning job...
+  IsexClient client(runner.socket());
+  const std::string head_id = client.send_frame(blocking_frame("fir"));
+  while (true) {
+    const std::optional<EventFrame> event = client.read_event();
+    ASSERT_TRUE(event.has_value()) << "stream ended before the head job started";
+    if (event->id == head_id && event->event == "extracted") break;
+  }
+  // ...while two jobs with the same type, scheme and constraints queue
+  // behind it. Each must get the whole ceiling from its own start, so the
+  // second cannot be cancelled while it waits for the first.
+  const std::string first_id = client.send_frame(blocking_frame("crc32"));
+  const std::string second_id = client.send_frame(blocking_frame("sha1"));
+
+  std::map<std::string, std::chrono::steady_clock::time_point> finished;
+  while (finished.size() < 3) {
+    const std::optional<EventFrame> event = client.read_event();
+    ASSERT_TRUE(event.has_value()) << "stream ended before every terminal event";
+    if (event->event != "report" && event->event != "error") continue;
+    finished[event->id] = std::chrono::steady_clock::now();
+    ASSERT_EQ(event->event, "report") << event->data.dump();
+    EXPECT_TRUE(event->data.at("report").at("partial").as_bool()) << event->id;
+    EXPECT_EQ(event->data.at("report").at("partial_reason").as_string(), "watchdog")
+        << event->id;
+  }
+  const auto gap = std::chrono::duration_cast<std::chrono::milliseconds>(
+      finished.at(second_id) - finished.at(first_id));
+  EXPECT_GE(gap.count(), 150) << "the second queued job was cancelled before it ran";
 }
 
 TEST(ServiceDeadlineDaemon, QueueFullShedsLoadWithARetryAfterHint) {

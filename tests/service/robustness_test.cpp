@@ -1,11 +1,12 @@
 // Robustness of the daemon against hostile or broken clients: malformed
 // frames, oversized payloads, unknown versions and mid-stream disconnects
 // must produce a structured error event or a clean connection drop — never
-// a daemon crash — and the admission queue's bounding/batching/dedup rules
-// must hold deterministically.
+// a daemon crash — and the admission queue's bounding/dedup rules must hold
+// deterministically.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <memory>
@@ -113,6 +114,45 @@ TEST(ServiceRobustness, MalformedFramesGetStructuredErrorsAndTheConnectionLivesO
   client.send_line("\n");
   const Json payload = client.explore(tiny_request());
   EXPECT_EQ(payload.at("kind").as_string(), "exploration");
+}
+
+TEST(ServiceRobustness, ThreadCountsPastTheHostCoresAreBadRequests) {
+  DaemonRunner runner(base_config("threads"));
+  IsexClient client(runner.socket());
+
+  // Each request with num_threads != 1 builds its own pool, so the daemon
+  // bounds the count by its cores, for both request types. A million
+  // threads would otherwise exhaust the process.
+  const int cores = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  ExplorationRequest single = tiny_request();
+  MultiExplorationRequest portfolio;
+  portfolio.workloads.resize(1);
+  portfolio.workloads[0].workload = "fir";
+  portfolio.constraints = single.constraints;
+  portfolio.num_instructions = 2;
+  for (const int threads : {cores + 1, 1000000}) {
+    single.num_threads = threads;
+    portfolio.num_threads = threads;
+    try {
+      client.explore(single);
+      FAIL() << threads << " threads unexpectedly admitted";
+    } catch (const ServiceError& e) {
+      EXPECT_EQ(e.code(), std::string(kErrBadRequest));
+      EXPECT_NE(std::string(e.what()).find("num_threads"), std::string::npos) << e.what();
+    }
+    try {
+      client.explore_portfolio(portfolio);
+      FAIL() << threads << " portfolio threads unexpectedly admitted";
+    } catch (const ServiceError& e) {
+      EXPECT_EQ(e.code(), std::string(kErrBadRequest));
+    }
+  }
+
+  // The same connection then serves normally, and 0 still means "all cores".
+  single.num_threads = 0;
+  EXPECT_EQ(client.explore(single).at("kind").as_string(), "exploration");
+  single.num_threads = cores;
+  EXPECT_EQ(client.explore(single).at("kind").as_string(), "exploration");
 }
 
 TEST(ServiceRobustness, OversizedFramesDropOnlyTheOffendingConnection) {
@@ -224,20 +264,30 @@ TEST(ServiceRobustness, AdmissionQueueBoundsAndDedupsDeterministically) {
   for (const auto& [id, event] : events) EXPECT_EQ(event, "accepted");
   EXPECT_EQ(events[0].first, "a");
   EXPECT_EQ(events[2].first, "d");
+  // No dispatch runs more than one job, so every accepted event says so.
+  EXPECT_FALSE(sink->last_data.at("batched").as_bool());
+  EXPECT_EQ(sink->last_data.at("batch_size").as_uint(), 1u);
 
-  // Workers see the dedup: the fir batch carries both subscribers on ONE
-  // job. Finishing it reopens both the bound and the fingerprint.
-  std::vector<ServiceJobPtr> batch = queue.next_batch();
-  ASSERT_EQ(batch.size(), 2u);  // fir + sha1 share scheme/constraints
-  for (const ServiceJobPtr& job : batch) {
+  // Workers see the dedup: the fir job carries both subscribers. Each
+  // dispatch takes one job, even though sha1 shares fir's type, scheme and
+  // constraints. Finishing them reopens both the bound and the fingerprint.
+  const ServiceJobPtr fir = queue.next_job();
+  ASSERT_NE(fir, nullptr);
+  EXPECT_EQ(fir->frame().single->workload, "fir");
+  EXPECT_EQ(queue.depth(), 1u);
+  const ServiceJobPtr sha1 = queue.next_job();
+  ASSERT_NE(sha1, nullptr);
+  EXPECT_EQ(sha1->frame().single->workload, "sha1");
+  for (const ServiceJobPtr& job : {fir, sha1}) {
+    EXPECT_FALSE(queue.idle());
     job->publish_terminal("report", Json::object());
     queue.finish(job);
   }
   EXPECT_TRUE(queue.idle());
   EXPECT_FALSE(queue.submit(frame_for("fir"), "e", sink).deduped);
-  const std::vector<ServiceJobPtr> leftover = queue.next_batch();
-  ASSERT_EQ(leftover.size(), 1u);
-  queue.finish(leftover[0]);
+  const ServiceJobPtr leftover = queue.next_job();
+  ASSERT_NE(leftover, nullptr);
+  queue.finish(leftover);
 
   // After drain(), everything is refused with shutting-down.
   queue.drain();
@@ -248,44 +298,11 @@ TEST(ServiceRobustness, AdmissionQueueBoundsAndDedupsDeterministically) {
     EXPECT_EQ(e.code(), std::string(kErrShuttingDown));
   }
   queue.close();
-  EXPECT_TRUE(queue.next_batch().empty());
-}
-
-TEST(ServiceRobustness, BatchingCoalescesCompatibleQueuedJobsOnly) {
-  AdmissionQueue queue(/*max_queue=*/8, /*max_batch=*/3);
-  auto sink = std::make_shared<RecordingSink>();
-
-  queue.submit(frame_for("fir"), "a", sink);
-  const AdmissionResult b = queue.submit(frame_for("sha1"), "b", sink);
-  EXPECT_TRUE(b.batched);  // same scheme + constraints as the queued fir job
-  EXPECT_EQ(b.batch_size, 2u);
-
-  // Different constraints break compatibility (disjoint memo keys); a
-  // different num_instructions alone does not — the key is type + scheme +
-  // constraints.
-  RequestFrame other = frame_for("crc32");
-  other.single->constraints.max_inputs = 4;
-  EXPECT_FALSE(queue.submit(std::move(other), "c", sink).batched);
-  EXPECT_TRUE(queue.submit(frame_for("gsm", /*num_instructions=*/7), "d", sink).batched);
-  queue.submit(frame_for("g721"), "e", sink);
-
-  // One dispatch takes the head and every compatible queued job, capped at
-  // max_batch — the incompatible crc32 job stays for the next worker.
-  const std::vector<ServiceJobPtr> first = queue.next_batch();
-  ASSERT_EQ(first.size(), 3u);
-  EXPECT_EQ(first[0]->frame().single->workload, "fir");
-  EXPECT_EQ(first[1]->frame().single->workload, "sha1");
-  EXPECT_EQ(first[2]->frame().single->workload, "gsm");
-  const std::vector<ServiceJobPtr> second = queue.next_batch();
-  ASSERT_EQ(second.size(), 1u);  // crc32's constraints differ from g721's
-  EXPECT_EQ(second[0]->frame().single->workload, "crc32");
-  const std::vector<ServiceJobPtr> third = queue.next_batch();
-  ASSERT_EQ(third.size(), 1u);
-  EXPECT_EQ(third[0]->frame().single->workload, "g721");
+  EXPECT_EQ(queue.next_job(), nullptr);
 }
 
 TEST(ServiceRobustness, DeadSubscribersAreDroppedAndLateAttachersReplayTheTerminal) {
-  ServiceJob job(frame_for("fir"), 1, 2);
+  ServiceJob job(frame_for("fir"), 1);
   auto alive = std::make_shared<RecordingSink>();
   auto dying = std::make_shared<RecordingSink>();
   job.attach("a", alive, Json::object());

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -173,6 +175,42 @@ TEST(ServiceVersionDaemon, VersionOneClientsGetVersionOneEvents) {
   EXPECT_EQ(terminal, "report");
   ASSERT_FALSE(versions.empty());
   for (const int v : versions) EXPECT_EQ(v, 1);
+}
+
+TEST(ServiceVersionDaemon, AcceptedCarriesEveryFieldInEveryVersion) {
+  // v1-v3 clients read all five accepted fields. A dispatch runs one job, so
+  // `batched` and `batch_size` are constants, but they stay on the wire.
+  DaemonRunner runner(base_config("acc"));
+  FdHandle fd = connect_unix(runner.socket());
+  FrameReader reader(fd.get(), 1 << 22);
+  for (int version = kMinServiceProtocolVersion; version <= kServiceProtocolVersion;
+       ++version) {
+    RequestFrame frame;
+    frame.id = "v" + std::to_string(version);
+    frame.type = "explore";
+    frame.version = version;
+    frame.single = crc_request();
+    ASSERT_TRUE(write_all(fd.get(), dump_request_frame(frame)));
+
+    std::optional<Json> accepted;
+    while (true) {
+      const std::optional<std::string> line = reader.read_frame();
+      ASSERT_TRUE(line.has_value()) << "stream ended before the terminal event";
+      const EventFrame event = parse_event_frame(*line);
+      if (event.event == "accepted") accepted = event.data;
+      if (event.event == "report" || event.event == "error") break;
+    }
+    ASSERT_TRUE(accepted.has_value()) << frame.id;
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : accepted->as_object()) keys.push_back(key);
+    std::sort(keys.begin(), keys.end());
+    EXPECT_EQ(keys, (std::vector<std::string>{"batch_size", "batched", "deduped",
+                                              "fingerprint", "queue_depth"}))
+        << frame.id;
+    EXPECT_FALSE(accepted->at("batched").as_bool()) << frame.id;
+    EXPECT_EQ(accepted->at("batch_size").as_uint(), 1u) << frame.id;
+    EXPECT_FALSE(accepted->at("deduped").as_bool()) << frame.id;
+  }
 }
 
 TEST(ServiceVersionDaemon, UnsupportedVersionGetsAStructuredError) {

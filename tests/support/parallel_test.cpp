@@ -1,16 +1,31 @@
 // Executor / ThreadPool behaviour, including the regression for
 // num_threads = 0 when std::thread::hardware_concurrency() is unknown (it
 // is allowed to return 0, which must resolve to one thread, not an empty
-// pool).
+// pool) and a pool whose worker spawn fails part-way.
 #include "support/parallel.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "support/assert.hpp"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define ISEX_UNDER_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define ISEX_UNDER_SANITIZER 1
+#endif
+#endif
 
 namespace isex {
 namespace {
@@ -72,6 +87,52 @@ TEST(ThreadPool, RethrowsWorkerExceptions) {
 TEST(ThreadPool, ParallelForZeroIsANoOp) {
   ThreadPool pool(2);
   pool.parallel_for(0, [&](std::size_t) { FAIL() << "must not be called"; });
+}
+
+/// Threads of this process, as the kernel lists them.
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+/// Bytes of address space this process has mapped.
+std::size_t mapped_bytes() {
+  std::size_t pages = 0;
+  std::ifstream("/proc/self/statm") >> pages;
+  return pages * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(ThreadPoolDeathTest, FailedSpawnThrowsAndJoinsTheStartedWorkers) {
+#ifdef ISEX_UNDER_SANITIZER
+  GTEST_SKIP() << "sanitizer runtimes reserve more address space than the cap allows";
+#else
+  // The child caps its address space a little above what it maps, so a big
+  // pool runs out of thread stacks part-way. The pool must throw and join
+  // the workers it started: destroying a joinable std::thread would call
+  // std::terminate instead.
+  EXPECT_EXIT(
+      {
+        const std::size_t before = live_threads();
+        rlimit cap{};
+        if (::getrlimit(RLIMIT_AS, &cap) != 0) std::_Exit(4);
+        cap.rlim_cur = mapped_bytes() + (64u << 20);
+        if (::setrlimit(RLIMIT_AS, &cap) != 0) std::_Exit(4);
+        try {
+          ThreadPool pool(100000);
+          std::_Exit(2);  // the cap never bit
+        } catch (const std::exception&) {  // std::system_error, or bad_alloc
+          // A joined thread can stay listed for a moment after join returns.
+          for (int i = 0; i < 100 && live_threads() != before; ++i) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+          }
+          std::_Exit(live_threads() == before ? 0 : 3);
+        }
+      },
+      testing::ExitedWithCode(0), "");
+#endif
 }
 
 TEST(SerialExecutor, RunsInlineInOrder) {
