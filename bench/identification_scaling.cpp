@@ -1,20 +1,24 @@
 // Identification-engine throughput bench with a tracked baseline.
 //
 // Sweeps the fig8 search-space workloads (crc32, adpcmdecode) under the
-// paper's 4-in/2-out configuration through BOTH engines — the word-parallel
-// production engine (find_best_cut) and the retained pre-rebuild reference
-// (find_best_cut_reference) — asserting byte-identical results, then
-// measures subtree-parallel scaling on a large synthetic block. Emits a
+// paper's 4-in/2-out configuration through BOTH single-cut engines — the
+// word-parallel production engine (find_best_cut) and the retained
+// pre-rebuild reference (find_best_cut_reference) — asserting
+// byte-identical results, then does the same for the multiple-cut engines
+// (find_best_cuts vs find_best_cuts_reference) on Fig. 11's Optimal setting
+// over the adpcmdecode, adpcmencode and g721 blocks, and finally measures
+// subtree-parallel scaling on a large synthetic block. Emits a
 // machine-readable BENCH_identification.json with cuts/sec, wall ms and
 // speedups.
 //
 // Regression gating (--baseline FILE, e.g. bench/baselines/
 // BENCH_identification.json): the *deterministic* gate compares the
-// search-stats counters (cuts_considered per workload) against the recorded
-// baseline and fails on >25% drift — counters are exact across machines, so
-// CI stays deterministic. Wall-clock throughput (cuts/sec vs the baseline's)
-// is always reported but only enforced with --gate-wall, for local runs on
-// the machine that recorded the baseline.
+// search-stats counters (cuts_considered per single- and multi-cut
+// workload) against the recorded baseline and fails on >25% drift —
+// counters are exact across machines, so CI stays deterministic.
+// Wall-clock throughput (cuts/sec vs the baseline's) is always reported but
+// only enforced with --gate-wall, for local runs on the machine that
+// recorded the baseline.
 //
 // Exit codes: 0 ok, 1 regression gate failed, 2 engines disagreed (never
 // acceptable), 3 usage/IO error.
@@ -26,8 +30,10 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "core/multi_cut.hpp"
 #include "core/single_cut.hpp"
 #include "dfg/random_dag.hpp"
 #include "support/json.hpp"
@@ -47,14 +53,16 @@ double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-/// One full pass over `blocks` with the given engine; returns summed
-/// cuts_considered (and optionally the per-block results for comparison).
-template <typename Fn>
-std::uint64_t sweep(const std::vector<Dfg>& blocks, const Fn& engine,
-                    std::vector<SingleCutResult>* out = nullptr) {
+/// One full pass over `items` (blocks, or multi-cut searches) with the given
+/// engine; returns summed cuts_considered (and optionally the per-item
+/// results for comparison).
+template <typename Item, typename Fn,
+          typename Result = std::invoke_result_t<const Fn&, const Item&>>
+std::uint64_t sweep(const std::vector<Item>& items, const Fn& engine,
+                    std::vector<Result>* out = nullptr) {
   std::uint64_t cuts = 0;
-  for (const Dfg& g : blocks) {
-    SingleCutResult r = engine(g);
+  for (const Item& item : items) {
+    Result r = engine(item);
     cuts += r.stats.cuts_considered;
     if (out != nullptr) out->push_back(std::move(r));
   }
@@ -63,38 +71,93 @@ std::uint64_t sweep(const std::vector<Dfg>& blocks, const Fn& engine,
 
 /// Wall milliseconds per sweep, calibrated so the timed region runs at
 /// least `target_ms` (counters stay exact regardless of repetitions).
-template <typename Fn>
-double time_sweep(const std::vector<Dfg>& blocks, const Fn& engine, double target_ms) {
+template <typename Item, typename Fn>
+double time_sweep(const std::vector<Item>& items, const Fn& engine, double target_ms) {
   const auto probe = Clock::now();
-  sweep(blocks, engine);
+  sweep(items, engine);
   const double once = std::max(ms_since(probe), 1e-3);
   const int reps = std::max(3, static_cast<int>(std::ceil(target_ms / once)));
   const auto start = Clock::now();
-  for (int r = 0; r < reps; ++r) sweep(blocks, engine);
+  for (int r = 0; r < reps; ++r) sweep(items, engine);
   return ms_since(start) / reps;
 }
 
-bool same_result(const SingleCutResult& a, const SingleCutResult& b) {
-  return a.cut == b.cut && a.merit == b.merit &&
-         a.stats.cuts_considered == b.stats.cuts_considered &&
-         a.stats.passed_checks == b.stats.passed_checks &&
-         a.stats.failed_output == b.stats.failed_output &&
-         a.stats.failed_convex == b.stats.failed_convex &&
-         a.stats.pruned_inputs == b.stats.pruned_inputs &&
-         a.stats.pruned_bound == b.stats.pruned_bound &&
-         a.stats.best_updates == b.stats.best_updates &&
-         a.stats.budget_exhausted == b.stats.budget_exhausted;
+bool same_stats(const EnumerationStats& a, const EnumerationStats& b) {
+  return a.cuts_considered == b.cuts_considered && a.passed_checks == b.passed_checks &&
+         a.failed_output == b.failed_output && a.failed_convex == b.failed_convex &&
+         a.pruned_inputs == b.pruned_inputs && a.pruned_bound == b.pruned_bound &&
+         a.best_updates == b.best_updates && a.budget_exhausted == b.budget_exhausted;
 }
+
+bool same_result(const SingleCutResult& a, const SingleCutResult& b) {
+  return a.cut == b.cut && a.merit == b.merit && same_stats(a.stats, b.stats);
+}
+
+bool same_result(const MultiCutResult& a, const MultiCutResult& b) {
+  return a.cuts == b.cuts && a.total_merit == b.total_merit && same_stats(a.stats, b.stats);
+}
+
+/// One multiple-cut identification of the Optimal scheme: a block and the
+/// number of cuts it is granted.
+struct MultiCutSearch {
+  const Dfg* block = nullptr;
+  int num_cuts = 0;
+};
 
 struct WorkloadRow {
   std::string name;
   int blocks = 0;
+  int searches = 0;  // multi-cut rows: (block, num_cuts) searches per sweep
+  int budget_exhausted = 0;  // multi-cut rows: searches that hit the budget
   std::uint64_t cuts_considered = 0;
   double reference_ms = 0.0;
   double engine_ms = 0.0;
   double engine_cuts_per_sec = 0.0;
   double speedup_vs_reference = 0.0;
 };
+
+/// Times both engines over `items` after checking them byte-identical;
+/// false on the first disagreement.
+template <typename Item, typename Ref, typename Eng>
+bool measure(const std::string& name, const std::vector<Item>& items, const Ref& reference,
+             const Eng& engine, double target_ms, WorkloadRow& row) {
+  using Result = std::invoke_result_t<const Eng&, const Item&>;
+  std::vector<Result> ref_results, eng_results;
+  sweep(items, reference, &ref_results);
+  const std::uint64_t eng_cuts = sweep(items, engine, &eng_results);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (!same_result(ref_results[i], eng_results[i])) {
+      std::cerr << "ENGINE MISMATCH on " << name << " item " << i
+                << " — the word-parallel engine must be byte-identical to the "
+                   "reference\n";
+      return false;
+    }
+    if (eng_results[i].stats.budget_exhausted) ++row.budget_exhausted;
+  }
+  row.name = name;
+  row.cuts_considered = eng_cuts;
+  row.reference_ms = time_sweep(items, reference, target_ms);
+  row.engine_ms = time_sweep(items, engine, target_ms);
+  row.engine_cuts_per_sec = static_cast<double>(eng_cuts) / (row.engine_ms / 1000.0);
+  row.speedup_vs_reference = row.reference_ms / row.engine_ms;
+  return true;
+}
+
+Json row_json(const WorkloadRow& row) {
+  Json r = Json::object();
+  r.set("name", row.name);
+  r.set("blocks", row.blocks);
+  if (row.searches > 0) {
+    r.set("searches", row.searches);
+    r.set("budget_exhausted", row.budget_exhausted);
+  }
+  r.set("cuts_considered", row.cuts_considered);
+  r.set("reference_ms", row.reference_ms);
+  r.set("engine_ms", row.engine_ms);
+  r.set("engine_cuts_per_sec", row.engine_cuts_per_sec);
+  r.set("speedup_vs_reference", row.speedup_vs_reference);
+  return r;
+}
 
 struct ThreadRow {
   int threads = 0;
@@ -157,42 +220,69 @@ int main(int argc, char** argv) {
     return find_best_cut(g, LatencyModel::standard_018um(), cons);
   };
 
+  const auto add_row = [](TextTable& table, const WorkloadRow& row) {
+    table.add_row({row.name, TextTable::num(static_cast<std::uint64_t>(row.blocks)),
+                   TextTable::num(row.cuts_considered), TextTable::num(row.reference_ms, 3),
+                   TextTable::num(row.engine_ms, 3), TextTable::num(row.speedup_vs_reference, 2),
+                   TextTable::num(row.engine_cuts_per_sec, 0)});
+  };
+  const auto blocks_of = [](const char* name) {
+    Workload w = find_workload(name);
+    w.preprocess();
+    return w.extract_dfgs();
+  };
+
   std::cout << "=== identification engine: word-parallel vs reference (Nin=4, Nout=2) ===\n\n";
   TextTable table({"workload", "blocks", "cuts considered", "reference ms", "engine ms",
                    "speedup", "engine cuts/sec"});
   std::vector<WorkloadRow> rows;
   for (const char* name : {"crc32", "adpcmdecode"}) {
-    Workload w = find_workload(name);
-    w.preprocess();
-    const std::vector<Dfg> blocks = w.extract_dfgs();
-
-    std::vector<SingleCutResult> ref_results, eng_results;
-    const std::uint64_t ref_cuts = sweep(blocks, reference, &ref_results);
-    const std::uint64_t eng_cuts = sweep(blocks, engine, &eng_results);
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-      if (!same_result(ref_results[b], eng_results[b]) || ref_cuts != eng_cuts) {
-        std::cerr << "ENGINE MISMATCH on " << name << " block " << b
-                  << " — the word-parallel engine must be byte-identical to the "
-                     "reference\n";
-        return 2;
-      }
-    }
-
+    const std::vector<Dfg> blocks = blocks_of(name);
     WorkloadRow row;
-    row.name = name;
     row.blocks = static_cast<int>(blocks.size());
-    row.cuts_considered = eng_cuts;
-    row.reference_ms = time_sweep(blocks, reference, target_ms);
-    row.engine_ms = time_sweep(blocks, engine, target_ms);
-    row.engine_cuts_per_sec = static_cast<double>(eng_cuts) / (row.engine_ms / 1000.0);
-    row.speedup_vs_reference = row.reference_ms / row.engine_ms;
-    table.add_row({row.name, TextTable::num(static_cast<std::uint64_t>(row.blocks)),
-                   TextTable::num(row.cuts_considered), TextTable::num(row.reference_ms, 3),
-                   TextTable::num(row.engine_ms, 3), TextTable::num(row.speedup_vs_reference, 2),
-                   TextTable::num(row.engine_cuts_per_sec, 0)});
+    if (!measure(name, blocks, reference, engine, target_ms, row)) return 2;
+    add_row(table, row);
     rows.push_back(row);
   }
   table.print(std::cout);
+
+  // --- multiple-cut engine on Fig. 11's Optimal setting ---------------------
+  // The searches the Optimal scheme starts with on every block: one to three
+  // cuts, with Fig. 11's result-preserving accelerations and its per-search
+  // budget. The larger adpcm searches end on the budget, so their cut counts
+  // (and partial bests) pin the visitation order too.
+  Constraints multi_cons = cons;
+  multi_cons.branch_and_bound = true;
+  multi_cons.prune_permanent_inputs = true;
+  multi_cons.search_budget = 1'000'000;
+  const std::vector<int> multi_cuts = {1, 2, 3};
+  const auto multi_reference = [&](const MultiCutSearch& s) {
+    return find_best_cuts_reference(*s.block, LatencyModel::standard_018um(), multi_cons,
+                                    s.num_cuts);
+  };
+  const auto multi_engine = [&](const MultiCutSearch& s) {
+    return find_best_cuts(*s.block, LatencyModel::standard_018um(), multi_cons, s.num_cuts);
+  };
+  std::cout << "\n=== multiple-cut engine: word-parallel vs reference (Nin=4, Nout=2, "
+               "branch-and-bound, permanent-input pruning, budget 1M, 1-3 cuts) "
+               "===\n\n";
+  TextTable multi_table({"workload", "blocks", "cuts considered", "reference ms",
+                         "engine ms", "speedup", "engine cuts/sec"});
+  std::vector<WorkloadRow> multi_rows;
+  for (const char* name : {"adpcmdecode", "adpcmencode", "g721"}) {
+    const std::vector<Dfg> blocks = blocks_of(name);
+    std::vector<MultiCutSearch> searches;
+    for (const Dfg& g : blocks) {
+      for (const int m : multi_cuts) searches.push_back({&g, m});
+    }
+    WorkloadRow row;
+    row.blocks = static_cast<int>(blocks.size());
+    row.searches = static_cast<int>(searches.size());
+    if (!measure(name, searches, multi_reference, multi_engine, target_ms, row)) return 2;
+    add_row(multi_table, row);
+    multi_rows.push_back(row);
+  }
+  multi_table.print(std::cout);
 
   // --- subtree-parallel scaling on one large synthetic block ---------------
   // A wider 6-in/3-out window keeps the tree large (~20M cuts) so the task
@@ -249,18 +339,25 @@ int main(int argc, char** argv) {
     report.set("constraints", std::move(c));
   }
   Json workloads = Json::array();
-  for (const WorkloadRow& row : rows) {
-    Json r = Json::object();
-    r.set("name", row.name);
-    r.set("blocks", row.blocks);
-    r.set("cuts_considered", row.cuts_considered);
-    r.set("reference_ms", row.reference_ms);
-    r.set("engine_ms", row.engine_ms);
-    r.set("engine_cuts_per_sec", row.engine_cuts_per_sec);
-    r.set("speedup_vs_reference", row.speedup_vs_reference);
-    workloads.push_back(std::move(r));
-  }
+  for (const WorkloadRow& row : rows) workloads.push_back(row_json(row));
   report.set("workloads", std::move(workloads));
+  {
+    Json m = Json::object();
+    Json c = Json::object();
+    c.set("max_inputs", multi_cons.max_inputs);
+    c.set("max_outputs", multi_cons.max_outputs);
+    c.set("branch_and_bound", multi_cons.branch_and_bound);
+    c.set("prune_permanent_inputs", multi_cons.prune_permanent_inputs);
+    c.set("search_budget", multi_cons.search_budget);
+    Json cuts = Json::array();
+    for (const int k : multi_cuts) cuts.push_back(k);
+    c.set("num_cuts", std::move(cuts));
+    m.set("constraints", std::move(c));
+    Json multi_workloads = Json::array();
+    for (const WorkloadRow& row : multi_rows) multi_workloads.push_back(row_json(row));
+    m.set("workloads", std::move(multi_workloads));
+    report.set("multi_cut", std::move(m));
+  }
   {
     Json s = Json::object();
     s.set("graph", big.name());
@@ -292,38 +389,52 @@ int main(int argc, char** argv) {
     const Json baseline = Json::parse(text.str());
     Json comparison = Json::array();
     std::cout << "\n=== baseline comparison (" << baseline_path << ") ===\n\n";
-    for (const WorkloadRow& row : rows) {
-      const Json* base_row = nullptr;
-      for (const Json& b : baseline.at("workloads").as_array()) {
-        if (b.at("name").as_string() == row.name) base_row = &b;
+    // Single-cut rows gate against the baseline's top-level workloads,
+    // multi-cut rows against its multi_cut section. False if the baseline
+    // lacks a row.
+    const auto compare = [&](const Json* section, const std::vector<WorkloadRow>& rows,
+                             const std::string& prefix) {
+      for (const WorkloadRow& row : rows) {
+        const std::string label = prefix + row.name;
+        const Json* base_row = nullptr;
+        if (section != nullptr) {
+          for (const Json& b : section->at("workloads").as_array()) {
+            if (b.at("name").as_string() == row.name) base_row = &b;
+          }
+        }
+        if (base_row == nullptr) {
+          std::cerr << "baseline has no entry for " << label << "\n";
+          return false;
+        }
+        const double base_cuts =
+            static_cast<double>(base_row->at("cuts_considered").as_uint());
+        const double base_rate = base_row->at("engine_cuts_per_sec").as_double();
+        const double counter_drift =
+            std::abs(static_cast<double>(row.cuts_considered) - base_cuts) / base_cuts;
+        const double rate_ratio = row.engine_cuts_per_sec / base_rate;
+        // Deterministic gate: the searched tree itself must not regress.
+        const bool counters_ok = counter_drift <= 0.25;
+        // Advisory unless --gate-wall: wall clock varies across machines.
+        const bool rate_ok = rate_ratio >= 0.75;
+        std::cout << label << ": counters drift "
+                  << TextTable::num(counter_drift * 100.0, 2) << "% ("
+                  << (counters_ok ? "ok" : "FAIL") << "), cuts/sec ratio "
+                  << TextTable::num(rate_ratio, 2) << "x ("
+                  << (rate_ok ? "ok" : (gate_wall ? "FAIL" : "advisory")) << ")\n";
+        if (!counters_ok || (gate_wall && !rate_ok)) gate_failed = true;
+        Json c = Json::object();
+        c.set("name", label);
+        c.set("baseline_cuts_considered", base_row->at("cuts_considered").as_uint());
+        c.set("baseline_cuts_per_sec", base_rate);
+        c.set("counters_drift", counter_drift);
+        c.set("cuts_per_sec_ratio", rate_ratio);
+        comparison.push_back(std::move(c));
       }
-      if (base_row == nullptr) {
-        std::cerr << "baseline has no entry for " << row.name << "\n";
-        return 3;
-      }
-      const double base_cuts =
-          static_cast<double>(base_row->at("cuts_considered").as_uint());
-      const double base_rate = base_row->at("engine_cuts_per_sec").as_double();
-      const double counter_drift =
-          std::abs(static_cast<double>(row.cuts_considered) - base_cuts) / base_cuts;
-      const double rate_ratio = row.engine_cuts_per_sec / base_rate;
-      // Deterministic gate: the searched tree itself must not regress.
-      const bool counters_ok = counter_drift <= 0.25;
-      // Advisory unless --gate-wall: wall clock varies across machines.
-      const bool rate_ok = rate_ratio >= 0.75;
-      std::cout << row.name << ": counters drift "
-                << TextTable::num(counter_drift * 100.0, 2) << "% ("
-                << (counters_ok ? "ok" : "FAIL") << "), cuts/sec ratio "
-                << TextTable::num(rate_ratio, 2) << "x ("
-                << (rate_ok ? "ok" : (gate_wall ? "FAIL" : "advisory")) << ")\n";
-      if (!counters_ok || (gate_wall && !rate_ok)) gate_failed = true;
-      Json c = Json::object();
-      c.set("name", row.name);
-      c.set("baseline_cuts_considered", base_row->at("cuts_considered").as_uint());
-      c.set("baseline_cuts_per_sec", base_rate);
-      c.set("counters_drift", counter_drift);
-      c.set("cuts_per_sec_ratio", rate_ratio);
-      comparison.push_back(std::move(c));
+      return true;
+    };
+    if (!compare(&baseline, rows, "") ||
+        !compare(baseline.find("multi_cut"), multi_rows, "multi_cut ")) {
+      return 3;
     }
     report.set("baseline_comparison", std::move(comparison));
   }

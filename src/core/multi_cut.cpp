@@ -1,7 +1,11 @@
 #include "core/multi_cut.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "core/search_tables.hpp"
 #include "support/cancellation.hpp"
@@ -10,271 +14,324 @@ namespace isex {
 
 namespace {
 
-constexpr int kMaxCuts = 8;  // quotient reachability packs into one uint64
+constexpr int kMaxCuts = 8;  // the quotient closure packs one byte per label
 
-constexpr std::int8_t kUndecided = -2;
-constexpr std::int8_t kExcluded = -1;
-// labels 0..M-1 denote cut membership.
+/// Bit d set: label d. At most kMaxCuts labels, so one byte.
+using Labels = std::uint32_t;
 
-// The (M+1)-ary walk needs per-label state (which cut does this successor
-// belong to?), so unlike the single-cut engine it keeps a label array and
-// per-node label reach masks rather than pure cut bitsets — but it runs on
-// the same SearchTables flattening: CSR adjacency with pre-resolved data
-// flags and input classification, per-node latency arrays, integer Cycles
-// sums/suffix bounds, and the shared exact BudgetGate.
-class MultiCutSearch {
+/// The search's budget. A caller's shared gate hands out one atomic ticket
+/// per cut, exact across the concurrent searches drawing on it; a budget the
+/// search owns alone is a plain counter with the same semantics (consumed
+/// never overshoots, a failed consume marks exhaustion), which spares the
+/// hot loop an atomic read-modify-write per cut.
+class Tickets {
  public:
-  MultiCutSearch(const Dfg& g, const SearchTables& t, const Constraints& cons, int m,
+  Tickets(BudgetGate* shared, std::uint64_t budget) : shared_(shared), budget_(budget) {}
+
+  bool consume() {
+    if (shared_ != nullptr) return shared_->consume();
+    if (budget_ != 0 && used_ == budget_) {
+      exhausted_ = true;
+      return false;
+    }
+    ++used_;
+    return true;
+  }
+
+  bool exhausted() const { return shared_ != nullptr ? shared_->exhausted() : exhausted_; }
+
+ private:
+  BudgetGate* const shared_;
+  const std::uint64_t budget_;
+  std::uint64_t used_ = 0;
+  bool exhausted_ = false;
+};
+
+/// The word-parallel (M+1)-ary walker, on the single-cut engine's design
+/// (src/core/single_cut.cpp): kWords fixes the row width at compile time
+/// (0 keeps it dynamic beyond 256 nodes). The state is one cut-word row per
+/// label plus their union; a node in no cut needs no state at all, so
+/// 0-branches mutate nothing and the walk decides only candidates.
+///
+/// Legality is quotient acyclicity. Every descendant of the node under
+/// decision is decided before it (the search-order invariant), so:
+///  * u reaches label d iff its descendant row meets cut d, so including u
+///    into c adds the quotient edges c -> d for those labels d != c (a label
+///    u reaches through a member of c, c already reaches);
+///  * a path u -> (no cut) -> c, a self-loop in the quotient, exists iff a
+///    successor outside every cut has a descendant row meeting cut c;
+///  * the quotient's transitive closure `reach_` holds one byte per label
+///    (byte i: the labels label i reaches). Adding edges c -> D gives every
+///    row that is c, or reaches c, the bits of D and of D's rows, and a
+///    cycle forms iff c is in D or some d in D already reaches c.
+/// The walk visits, counts and budgets exactly like the retained reference
+/// engine (one cancel poll per walk call), so results and every statistic
+/// are byte-identical to it.
+template <int kWords>
+class MultiCutEngine {
+ public:
+  MultiCutEngine(const SearchTables& t, const Constraints& cons, int m,
                  const CutSearchOptions& options)
       : t_(t),
         cons_(cons),
         m_(m),
-        // An externally shared gate overrides the per-search one, exactly as
-        // in the single-cut runner.
-        owned_gate_(options.budget != nullptr ? 0 : cons.search_budget),
-        gate_(options.budget != nullptr ? *options.budget : owned_gate_),
-        cancel_(options.cancel) {
-    const std::size_t n = g.num_nodes();
-    state_.assign(n, kUndecided);
-    reach_mask_.assign(n, 0);
-    cp_.assign(n, 0.0);
-    feeds_.assign(static_cast<std::size_t>(m_) * n, 0);
-    out_count_.assign(m_, 0);
-    in_perm_.assign(m_, 0);
-    in_tent_.assign(m_, 0);
-    sw_sum_.assign(m_, 0);
-    crit_.assign(m_, 0.0);
-    cut_size_.assign(m_, 0);
-    cuts_.assign(m_, BitVector(n));
-  }
+        // An externally shared gate overrides the per-search budget, exactly
+        // as in the single-cut runner.
+        tickets_(options.budget, cons.search_budget),
+        cancel_(options.cancel),
+        dynamic_words_(t.words),
+        cuts_(static_cast<std::size_t>(m) * words(), 0),
+        members_(words(), 0),
+        cp_(t.num_nodes, 0.0),
+        feeds_(static_cast<std::size_t>(m) * t.num_nodes, 0) {}
 
   MultiCutResult run() {
     walk(0);
     best_.stats = stats_;
-    best_.stats.budget_exhausted = gate_.exhausted();
+    best_.stats.budget_exhausted = tickets_.exhausted();
     best_.stats.cancelled = cancel_ != nullptr && cancel_->cancelled();
-    return best_;
+    return std::move(best_);
   }
 
  private:
-  std::uint32_t succ_reach_mask(std::uint32_t n) const {
-    std::uint32_t mask = 0;
-    for (std::uint32_t j = t_.succ_off[n]; j < t_.succ_off[n + 1]; ++j) {
-      const std::uint32_t s = t_.succ_node[j];
-      mask |= reach_mask_[s];
-      if (state_[s] >= 0) mask |= 1u << state_[s];
+  /// What an include changed beyond the label's own row and counters.
+  struct Undo {
+    std::uint64_t reach = 0;
+    double crit = 0.0;
+    Cycles hw = 0;
+    bool is_output = false;
+    bool tent_removed = false;
+  };
+
+  std::size_t words() const {
+    if constexpr (kWords > 0) {
+      return kWords;
+    } else {
+      return dynamic_words_;
     }
-    return mask;
   }
 
-  static std::uint64_t close(std::uint64_t r, int m) {
-    // Floyd–Warshall over the m×m boolean matrix packed row-major in r.
-    for (int k = 0; k < m; ++k) {
-      for (int i = 0; i < m; ++i) {
-        if (!(r >> (i * kMaxCuts + k) & 1)) continue;
-        for (int j = 0; j < m; ++j) {
-          if (r >> (k * kMaxCuts + j) & 1) r |= std::uint64_t{1} << (i * kMaxCuts + j);
-        }
-      }
-    }
-    return r;
+  const std::uint64_t* desc_row(std::uint32_t n) const {
+    return t_.desc_rows.data() + n * words();
+  }
+  const std::uint64_t* dsucc_row(std::uint32_t n) const {
+    return t_.data_succ_rows.data() + n * words();
+  }
+  std::uint64_t* cut(int c) { return cuts_.data() + static_cast<std::size_t>(c) * words(); }
+  const std::uint64_t* cut(int c) const {
+    return cuts_.data() + static_cast<std::size_t>(c) * words();
   }
 
-  static bool cyclic(std::uint64_t r, int m) {
-    for (int i = 0; i < m; ++i) {
-      if (r >> (i * kMaxCuts + i) & 1) return true;
+  bool rows_meet(const std::uint64_t* a, const std::uint64_t* b) const {
+    for (std::size_t w = 0; w < words(); ++w) {
+      if (a[w] & b[w]) return true;
+    }
+    return false;
+  }
+  bool row_escapes(const std::uint64_t* row, const std::uint64_t* cut) const {
+    for (std::size_t w = 0; w < words(); ++w) {
+      if (row[w] & ~cut[w]) return true;
     }
     return false;
   }
 
-  void walk(std::size_t k) {
-    if (gate_.exhausted()) return;
-    if (cancel_ != nullptr && cancel_->poll()) return;
+  std::uint32_t reach_row(int i) const { return (reach_ >> (8 * i)) & 0xFF; }
+  bool quotient_cyclic() const { return (reach_ & 0x8040201008040201ULL) != 0; }
+  bool stopped() const {
+    return tickets_.exhausted() || (cancel_ != nullptr && cancel_->cancelled());
+  }
 
-    std::size_t auto_end = k;
-    while (auto_end < t_.order.size() && !t_.candidate[auto_end]) ++auto_end;
-    for (std::size_t j = k; j < auto_end; ++j) {
-      const std::uint32_t n = t_.order[j];
-      state_[n] = kExcluded;
-      reach_mask_[n] = succ_reach_mask(n);
+  /// The other non-empty labels u reaches: the quotient edges its include
+  /// into c adds besides a self-loop.
+  Labels labels_reached(std::uint32_t u, int c) const {
+    Labels reached = 0;
+    for (int d = 0; d < open_; ++d) {
+      if (d != c && rows_meet(desc_row(u), cut(d))) reached |= 1u << d;
     }
-    if (auto_end == t_.order.size()) {
-      undo_autos(k, auto_end);
+    return reached;
+  }
+
+  /// A path u -> (no cut) -> member of c: the quotient self-loop c -> c.
+  bool loops_back(std::uint32_t u, int c) const {
+    for (std::uint32_t j = t_.succ_off[u]; j < t_.succ_off[u + 1]; ++j) {
+      const std::uint32_t s = t_.succ_node[j];
+      if (!(members_[s >> 6] >> (s & 63) & 1) && rows_meet(desc_row(s), cut(c))) return true;
+    }
+    return false;
+  }
+
+  /// Whether adding the edges c -> `reached` closes a cycle through c.
+  bool closes_cycle(int c, Labels reached) const {
+    for (int d = 0; d < open_; ++d) {
+      if ((reached >> d & 1) && (reach_row(d) >> c & 1)) return true;
+    }
+    return false;
+  }
+
+  void walk(std::uint32_t ci) {
+    if (tickets_.exhausted()) return;
+    if (cancel_ != nullptr && cancel_->poll()) return;
+    if (ci == t_.cand_node.size()) return;
+    const std::uint32_t u = t_.cand_node[ci];
+    // Symmetry breaking: only one new label may open per decision.
+    const int max_label = std::min(m_ - 1, open_);
+    for (int c = 0; c <= max_label && !stopped(); ++c) {
+      if (!tickets_.consume()) break;
+      ++stats_.cuts_considered;
+      branch(ci, u, c);
+    }
+    // 0-branch: a node in no cut leaves no state behind.
+    if (!stopped()) walk(ci + 1);
+  }
+
+  void branch(std::uint32_t ci, std::uint32_t u, int c) {
+    const bool is_out = row_escapes(dsucc_row(u), cut(c));
+    // On a pruning path every ancestor passed both checks, so every label
+    // is within Nout and the quotient is acyclic here. A failing 1-branch
+    // never descends: classify it with pure reads (output first, Fig. 6's
+    // order) and leave the state untouched.
+    if (cons_.enable_pruning && out_count_[c] + (is_out ? 1 : 0) > cons_.max_outputs) {
+      ++stats_.failed_output;
+      return;
+    }
+    const bool self_loop = loops_back(u, c);
+    if (cons_.enable_pruning && self_loop) {
+      ++stats_.failed_convex;
+      return;
+    }
+    const Labels reached = labels_reached(u, c);
+    if (cons_.enable_pruning && closes_cycle(c, reached)) {
+      ++stats_.failed_convex;
       return;
     }
 
-    const std::uint32_t u = t_.order[auto_end];
-
-    // Symmetry breaking: only open one new cut label at a time.
-    int open = 0;
-    while (open < m_ && cut_size_[open] > 0) ++open;
-    const int max_label = std::min(m_ - 1, open);
-
-    for (int c = 0; c <= max_label && !gate_.exhausted() &&
-                    !(cancel_ != nullptr && cancel_->cancelled());
-         ++c) {
-      if (!gate_.consume()) break;
-      ++stats_.cuts_considered;
-      const Frame f = include(u, c);
-      const bool out_ok = out_count_[c] <= cons_.max_outputs;
-      const bool convex_ok = !quotient_cyclic_;
-      if (out_ok && convex_ok) {
-        ++stats_.passed_checks;
-        bool inputs_ok = true;
-        for (int d = 0; d < m_; ++d) {
-          if (in_perm_[d] + in_tent_[d] > cons_.max_inputs) inputs_ok = false;
-        }
-        if (inputs_ok) {
-          const double total = total_merit();
-          if (total > best_.total_merit) record_best(total);
-        }
-      } else if (!out_ok) {
-        ++stats_.failed_output;
-      } else {
-        ++stats_.failed_convex;
+    const Undo undo = include(u, c, is_out, reached | (self_loop ? 1u << c : 0u));
+    if (out_count_[c] > cons_.max_outputs) {
+      ++stats_.failed_output;  // pruning disabled: the walk descends anyway
+    } else if (quotient_cyclic()) {
+      ++stats_.failed_convex;
+    } else {
+      ++stats_.passed_checks;
+      if (inputs_ok()) {
+        const double total = total_merit();
+        if (total > best_.total_merit) record_best(total);
       }
-
-      bool descend = true;
-      if (cons_.enable_pruning && (!out_ok || !convex_ok)) descend = false;
-      if (descend && cons_.prune_permanent_inputs) {
-        for (int d = 0; d < m_; ++d) {
-          if (in_perm_[d] > cons_.max_inputs) {
-            ++stats_.pruned_inputs;
-            descend = false;
-            break;
-          }
-        }
-      }
-      if (descend && cons_.branch_and_bound) {
-        double bound = t_.exec_freq * static_cast<double>(t_.sw_suffix[auto_end + 1]);
-        for (int d = 0; d < m_; ++d) {
-          bound += t_.exec_freq * static_cast<double>(sw_sum_[d] - hw_cycles(d));
-        }
-        if (bound <= best_.total_merit) {
-          ++stats_.pruned_bound;
-          descend = false;
-        }
-      }
-      if (descend) walk(auto_end + 1);
-      undo_include(u, c, f);
     }
-
-    // 0-branch: exclude u.
-    if (!gate_.exhausted() && !(cancel_ != nullptr && cancel_->cancelled())) {
-      state_[u] = kExcluded;
-      reach_mask_[u] = succ_reach_mask(u);
-      walk(auto_end + 1);
-      state_[u] = kUndecided;
-    }
-
-    undo_autos(k, auto_end);
+    if (descend(ci)) walk(ci + 1);
+    undo_include(u, c, undo);
   }
 
-  void undo_autos(std::size_t from, std::size_t to) {
-    for (std::size_t j = to; j-- > from;) state_[t_.order[j]] = kUndecided;
+  bool inputs_ok() const {
+    for (int d = 0; d < m_; ++d) {
+      if (in_perm_[d] + in_tent_[d] > cons_.max_inputs) return false;
+    }
+    return true;
   }
 
-  struct Frame {
-    std::uint64_t old_reach = 0;
-    double old_crit = 0.0;
-    bool old_cyclic = false;
-    bool is_output = false;
-    int tent_removed = 0;
-  };
+  bool descend(std::uint32_t ci) {
+    if (cons_.prune_permanent_inputs) {
+      for (int d = 0; d < m_; ++d) {
+        if (in_perm_[d] > cons_.max_inputs) {
+          ++stats_.pruned_inputs;
+          return false;
+        }
+      }
+    }
+    if (cons_.branch_and_bound) {
+      double bound = t_.exec_freq * static_cast<double>(t_.cand_sw_suffix[ci + 1]);
+      for (int d = 0; d < m_; ++d) {
+        bound += label_merit(d);
+      }
+      if (bound <= best_.total_merit) {
+        ++stats_.pruned_bound;
+        return false;
+      }
+    }
+    return true;
+  }
 
-  Frame include(const std::uint32_t u, const int c) {
-    Frame f;
-    state_[u] = static_cast<std::int8_t>(c);
-    cuts_[c].set(u);
-    ++cut_size_[c];
+  /// Adds u to label c, whose quotient edges go to `targets`.
+  Undo include(std::uint32_t u, int c, bool is_out, Labels targets) {
+    Undo undo;
+    undo.reach = reach_;
+    undo.is_output = is_out;
+    if (is_out) ++out_count_[c];
+    if (size_[c]++ == 0) ++open_;
+    const std::uint64_t bit = std::uint64_t{1} << (u & 63);
+    cut(c)[u >> 6] |= bit;
+    members_[u >> 6] |= bit;
     sw_sum_[c] += t_.sw[u];
 
-    // Quotient edges introduced by u's outgoing paths.
-    f.old_reach = quotient_reach_;
-    f.old_cyclic = quotient_cyclic_;
-    std::uint64_t r = quotient_reach_;
-    std::uint32_t mask = 0;
-    for (std::uint32_t j = t_.succ_off[u]; j < t_.succ_off[u + 1]; ++j) {
-      const std::uint32_t s = t_.succ_node[j];
-      if (state_[s] >= 0 && state_[s] != c) {
-        mask |= 1u << state_[s];
-      } else if (state_[s] == kExcluded) {
-        mask |= reach_mask_[s];  // paths through plain nodes
-      }
-    }
+    // Incremental closure: every row that is c or reaches c gains the
+    // targets and everything they reach.
+    Labels gained = targets;
     for (int d = 0; d < m_; ++d) {
-      if (mask >> d & 1) r |= std::uint64_t{1} << (c * kMaxCuts + d);
+      if (targets >> d & 1) gained |= reach_row(d);
     }
-    if (r != quotient_reach_) {
-      r = close(r, m_);
-      quotient_reach_ = r;
-      quotient_cyclic_ = quotient_cyclic_ || cyclic(r, m_);
-    }
-    reach_mask_[u] = (1u << c) | succ_reach_mask(u);
-
-    for (std::uint32_t j = t_.succ_off[u]; j < t_.succ_off[u + 1]; ++j) {
-      if (!t_.succ_data[j]) continue;
-      if (state_[t_.succ_node[j]] != c) {
-        f.is_output = true;
-        break;
+    if (gained != 0) {
+      for (int i = 0; i < m_; ++i) {
+        if (i == c || (reach_row(i) >> c & 1)) {
+          reach_ |= static_cast<std::uint64_t>(gained) << (8 * i);
+        }
       }
     }
-    if (f.is_output) ++out_count_[c];
 
+    // Inputs: new external producers of label c; u itself may stop being one.
+    std::int32_t* feeds = feeds_.data() + static_cast<std::size_t>(c) * t_.num_nodes;
     for (std::uint32_t j = t_.in_off[u]; j < t_.in_off[u + 1]; ++j) {
-      if (++feeds_[feed_index(c, t_.in_node[j])] == 1) {
+      if (++feeds[t_.in_node[j]] == 1) {
         t_.in_perm[j] ? ++in_perm_[c] : ++in_tent_[c];
       }
     }
-    if (feeds_[feed_index(c, u)] > 0) {
-      --in_tent_[c];
-      f.tent_removed = 1;
-    }
+    undo.tent_removed = feeds[u] > 0;
+    if (undo.tent_removed) --in_tent_[c];
 
+    // Critical path: all of u's in-cut consumers are decided, so cp(u) is final.
     double longest = 0.0;
-    for (std::uint32_t j = t_.succ_off[u]; j < t_.succ_off[u + 1]; ++j) {
-      const std::uint32_t s = t_.succ_node[j];
-      if (t_.succ_data[j] && state_[s] == c) {
-        longest = std::max(longest, cp_[s]);
+    const std::uint64_t* ds = dsucc_row(u);
+    const std::uint64_t* row = cut(c);
+    for (std::size_t w = 0; w < words(); ++w) {
+      std::uint64_t bits = ds[w] & row[w];
+      while (bits != 0) {
+        const int b = __builtin_ctzll(bits);
+        bits &= bits - 1;
+        longest = std::max(longest, cp_[(w << 6) + static_cast<std::size_t>(b)]);
       }
     }
     cp_[u] = longest + t_.hw[u];
-    f.old_crit = crit_[c];
+    undo.crit = crit_[c];
+    undo.hw = hw_cycles_[c];
     crit_[c] = std::max(crit_[c], cp_[u]);
-    return f;
+    hw_cycles_[c] = static_cast<Cycles>(std::max(1.0, std::ceil(crit_[c] - 1e-9)));
+    return undo;
   }
 
-  void undo_include(const std::uint32_t u, const int c, const Frame& f) {
-    crit_[c] = f.old_crit;
-    if (f.tent_removed) ++in_tent_[c];
+  void undo_include(std::uint32_t u, int c, const Undo& undo) {
+    crit_[c] = undo.crit;
+    hw_cycles_[c] = undo.hw;
+    std::int32_t* feeds = feeds_.data() + static_cast<std::size_t>(c) * t_.num_nodes;
+    if (undo.tent_removed) ++in_tent_[c];
     for (std::uint32_t j = t_.in_off[u]; j < t_.in_off[u + 1]; ++j) {
-      if (--feeds_[feed_index(c, t_.in_node[j])] == 0) {
+      if (--feeds[t_.in_node[j]] == 0) {
         t_.in_perm[j] ? --in_perm_[c] : --in_tent_[c];
       }
     }
-    if (f.is_output) --out_count_[c];
-    quotient_reach_ = f.old_reach;
-    quotient_cyclic_ = f.old_cyclic;
-    reach_mask_[u] = 0;
+    reach_ = undo.reach;
     sw_sum_[c] -= t_.sw[u];
-    --cut_size_[c];
-    cuts_[c].reset(u);
-    state_[u] = kUndecided;
+    const std::uint64_t bit = std::uint64_t{1} << (u & 63);
+    cut(c)[u >> 6] &= ~bit;
+    members_[u >> 6] &= ~bit;
+    if (--size_[c] == 0) --open_;
+    if (undo.is_output) --out_count_[c];
   }
 
-  /// Rounded-up hardware cycles of label c, 0 for an empty cut — one Cycles
-  /// value, so the bound and merit arithmetic below cannot diverge.
-  Cycles hw_cycles(int c) const {
-    if (cut_size_[c] == 0) return 0;
-    return static_cast<Cycles>(std::max(1.0, std::ceil(crit_[c] - 1e-9)));
+  double label_merit(int c) const {
+    return t_.exec_freq * static_cast<double>(sw_sum_[c] - hw_cycles_[c]);
   }
 
   double total_merit() const {
     double total = 0.0;
-    for (int c = 0; c < m_; ++c) {
-      if (cut_size_[c] == 0) continue;
-      total += t_.exec_freq * static_cast<double>(sw_sum_[c] - hw_cycles(c));
-    }
+    for (int c = 0; c < open_; ++c) total += label_merit(c);
     return total;
   }
 
@@ -282,38 +339,34 @@ class MultiCutSearch {
     best_.total_merit = total;
     best_.cuts.clear();
     std::vector<std::pair<double, int>> ranked;
-    for (int c = 0; c < m_; ++c) {
-      if (cut_size_[c] == 0) continue;
-      ranked.emplace_back(t_.exec_freq * static_cast<double>(sw_sum_[c] - hw_cycles(c)), c);
-    }
+    for (int c = 0; c < open_; ++c) ranked.emplace_back(label_merit(c), c);
     std::sort(ranked.begin(), ranked.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
-    for (const auto& [merit, c] : ranked) best_.cuts.push_back(cuts_[c]);
+    for (const auto& [merit, c] : ranked) {
+      best_.cuts.push_back(to_bitvector(t_.num_nodes, cut(c), words()));
+    }
     ++stats_.best_updates;
   }
 
-  std::size_t feed_index(int c, std::uint32_t p) const {
-    return static_cast<std::size_t>(c) * t_.num_nodes + p;
-  }
-
   const SearchTables& t_;
-  const Constraints cons_;
+  const Constraints& cons_;
   const int m_;
-  BudgetGate owned_gate_;
-  BudgetGate& gate_;
+  Tickets tickets_;
   CancelToken* cancel_;
+  const std::size_t dynamic_words_;
 
-  std::vector<std::int8_t> state_;
-  std::vector<std::uint32_t> reach_mask_;
+  std::vector<std::uint64_t> cuts_;     // label-major: m rows of words()
+  std::vector<std::uint64_t> members_;  // union of the cut rows
   std::vector<double> cp_;
-  std::vector<std::int32_t> feeds_;
-  std::vector<int> out_count_, in_perm_, in_tent_, cut_size_;
-  std::vector<Cycles> sw_sum_;
-  std::vector<double> crit_;
-  std::vector<BitVector> cuts_;
-
-  std::uint64_t quotient_reach_ = 0;
-  bool quotient_cyclic_ = false;
+  std::vector<std::int32_t> feeds_;     // label-major: m rows of num_nodes
+  std::array<int, kMaxCuts> size_{}, out_count_{}, in_perm_{}, in_tent_{};
+  std::array<Cycles, kMaxCuts> sw_sum_{};
+  std::array<double, kMaxCuts> crit_{};
+  /// Rounded-up hardware cycles per label, 0 for an empty one: one Cycles
+  /// value, so the bound and the merit it prunes against cannot diverge.
+  std::array<Cycles, kMaxCuts> hw_cycles_{};
+  int open_ = 0;  // non-empty labels, always the prefix 0..open_-1
+  std::uint64_t reach_ = 0;
 
   EnumerationStats stats_;
   MultiCutResult best_;
@@ -327,8 +380,9 @@ MultiCutResult find_best_cuts(const Dfg& g, const LatencyModel& latency,
   ISEX_CHECK(g.finalized(), "find_best_cuts: graph not finalized");
   ISEX_CHECK(num_cuts >= 1 && num_cuts <= kMaxCuts, "num_cuts must be in [1, 8]");
   const SearchTables tables = SearchTables::build(g, latency);
-  MultiCutSearch search(g, tables, constraints, num_cuts, options);
-  return search.run();
+  return dispatch_words(tables.words, [&](auto width) {
+    return MultiCutEngine<decltype(width)::value>(tables, constraints, num_cuts, options).run();
+  });
 }
 
 MultiCutResult find_best_cuts(const Dfg& g, const LatencyModel& latency,

@@ -7,6 +7,10 @@
 // cut pairs (cut A feeding cut B and vice versa), which individual convexity
 // alone would not catch. Cut labels are symmetry-broken (label k can only be
 // opened after label k-1), which prunes the M! relabelings.
+//
+// The engine shares the single-cut engine's word-parallel design (one
+// cut-word row per label over SearchTables; see multi_cut.cpp). Results and
+// every statistic are byte-identical to the retained reference engine.
 #pragma once
 
 #include <vector>
@@ -31,9 +35,10 @@ MultiCutResult find_best_cuts(const Dfg& g, const LatencyModel& latency,
                               const Constraints& constraints, int num_cuts);
 
 /// As above, honouring the shared budget gate and cancel token of `options`
-/// (same override/refusal semantics as the single-cut engine). The
-/// (M+1)-ary walk is recursive and does not subtree-split: executor and
-/// split_depth are ignored, and results are independent of both.
+/// (same override/refusal semantics as the single-cut engine; the token is
+/// polled once per search-tree node). The (M+1)-ary walk is recursive and
+/// does not subtree-split: executor and split_depth are ignored, and results
+/// are independent of both.
 MultiCutResult find_best_cuts(const Dfg& g, const LatencyModel& latency,
                               const Constraints& constraints, int num_cuts,
                               const CutSearchOptions& options);

@@ -35,13 +35,10 @@ SearchTables SearchTables::build(const Dfg& g, const LatencyModel& latency) {
     t.succ_off[i + 1] = t.succ_off[i] + static_cast<std::uint32_t>(node.succs.size());
   }
   t.succ_node.resize(t.succ_off[n]);
-  t.succ_data.resize(t.succ_off[n]);
   for (std::size_t i = 0; i < n; ++i) {
-    const DfgNode& node = g.node(NodeId{static_cast<std::uint32_t>(i)});
     std::uint32_t at = t.succ_off[i];
-    for (std::size_t j = 0; j < node.succs.size(); ++j, ++at) {
-      t.succ_node[at] = node.succs[j].index;
-      t.succ_data[at] = node.succ_is_data[j];
+    for (const NodeId s : g.node(NodeId{static_cast<std::uint32_t>(i)}).succs) {
+      t.succ_node[at++] = s.index;
     }
   }
 
@@ -57,25 +54,28 @@ SearchTables SearchTables::build(const Dfg& g, const LatencyModel& latency) {
     });
   }
 
-  const auto& order = g.search_order();
-  t.order.resize(order.size());
-  t.candidate.resize(order.size());
-  t.sw_suffix.assign(order.size() + 1, 0);
-  for (std::size_t k = order.size(); k-- > 0;) {
-    const NodeId id = order[k];
+  for (const NodeId id : g.search_order()) {
     const DfgNode& node = g.node(id);
-    t.order[k] = id.index;
-    t.candidate[k] = node.kind == NodeKind::op && !node.forbidden ? 1 : 0;
-    t.sw_suffix[k] = t.sw_suffix[k + 1] + (t.candidate[k] ? t.sw[id.index] : 0);
-  }
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    if (t.candidate[k]) t.cand_node.push_back(t.order[k]);
+    if (node.kind == NodeKind::op && !node.forbidden) t.cand_node.push_back(id.index);
   }
   t.cand_sw_suffix.assign(t.cand_node.size() + 1, 0);
   for (std::size_t c = t.cand_node.size(); c-- > 0;) {
     t.cand_sw_suffix[c] = t.cand_sw_suffix[c + 1] + t.sw[t.cand_node[c]];
   }
   return t;
+}
+
+BitVector to_bitvector(std::size_t size, const std::uint64_t* row, std::size_t words) {
+  BitVector v(size);
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t bits = row[w];
+    while (bits != 0) {
+      const int b = __builtin_ctzll(bits);
+      bits &= bits - 1;
+      v.set(w * 64 + static_cast<std::size_t>(b));
+    }
+  }
+  return v;
 }
 
 }  // namespace isex

@@ -14,9 +14,9 @@
 //    word operations instead of per-edge scans through checked accessors;
 //  * the LatencyModel flattened into per-node sw_cycles[] / hw_delay[]
 //    arrays (one opcode resolution per node per search, not one per visit);
-//  * CSR adjacency with pre-resolved data flags and input classification;
-//  * the search order with candidate flags and integer suffix latency sums
-//    (the branch-and-bound bound, in the one Cycles type end-to-end).
+//  * CSR adjacency and a pre-classified CSR of countable inputs;
+//  * the candidates in search order with integer suffix latency sums (the
+//    branch-and-bound bound, in the one Cycles type end-to-end).
 //
 // BudgetGate is the engines' shared search-budget accountant: exact (the
 // consumed count never overshoots and saturates at the budget) and safe to
@@ -26,11 +26,13 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "core/constraints.hpp"
 #include "dfg/dfg.hpp"
 #include "latency/latency_model.hpp"
+#include "support/bitvector.hpp"
 
 namespace isex {
 
@@ -105,11 +107,9 @@ struct SearchTables {
   std::vector<std::uint64_t> desc_rows;       // transitive descendants
   std::vector<std::uint64_t> data_succ_rows;  // immediate data successors
 
-  // CSR immediate adjacency in edge order, with per-edge data flags (the
-  // multiple-cut engine's label scans need the neighbour lists; the
-  // single-cut engine's convexity check walks it against desc_rows).
+  // CSR immediate adjacency (data and ordering edges) in edge order: the
+  // engines' convexity checks walk it against desc_rows.
   std::vector<std::uint32_t> succ_off, succ_node;
-  std::vector<std::uint8_t> succ_data;
 
   // CSR of the *countable* data predecessors per node: deduplicated edges
   // with constants (hardwired into the AFU) dropped and the permanent-input
@@ -122,24 +122,39 @@ struct SearchTables {
   std::vector<Cycles> sw;
   std::vector<double> hw;
 
-  // Full search-order flattening (multiple-cut engine): node id and
-  // candidate flag per position.
-  std::vector<std::uint32_t> order;
-  std::vector<std::uint8_t> candidate;
-  /// Suffix sums of candidate software latency by full-order position, for
-  /// the multiple-cut branch-and-bound bound. Size order.size() + 1.
-  std::vector<Cycles> sw_suffix;
-
-  // Candidates-only view (single-cut engine): non-candidate nodes (V+
-  // outputs, memory ops) are never members and all their consumers decide
-  // before them, so the walk needs only the candidate decisions — the
-  // per-visit auto-exclusion runs of the reference engine vanish entirely.
+  // The candidates in search order: non-candidate nodes (V+ outputs,
+  // memory ops) are never members and all their consumers decide before
+  // them, so the engines walk only the candidate decisions — the per-visit
+  // auto-exclusion runs of the reference engines vanish entirely.
   std::vector<std::uint32_t> cand_node;
-  /// Suffix sums by candidate index; equal to sw_suffix at the matching
-  /// full-order position (non-candidates contribute nothing in between).
+  /// Suffix sums of candidate software latency by candidate index; equal to
+  /// the reference engines' full-order suffix sums at the matching position
+  /// (non-candidates contribute nothing in between).
   std::vector<Cycles> cand_sw_suffix;  // size cand_node.size() + 1
 
   static SearchTables build(const Dfg& g, const LatencyModel& latency);
 };
+
+/// The cut bits of one `words`-wide row as a BitVector of `size` bits.
+BitVector to_bitvector(std::size_t size, const std::uint64_t* row, std::size_t words);
+
+/// Calls `fn(std::integral_constant<int, W>{})` with W = `words` for rows of
+/// one to four words and W = 0 (the runtime-width engine) beyond, so each
+/// engine's closure scans unroll on every graph up to 256 nodes.
+template <typename Fn>
+decltype(auto) dispatch_words(std::size_t words, Fn&& fn) {
+  switch (words) {
+    case 1:
+      return fn(std::integral_constant<int, 1>{});
+    case 2:
+      return fn(std::integral_constant<int, 2>{});
+    case 3:
+      return fn(std::integral_constant<int, 3>{});
+    case 4:
+      return fn(std::integral_constant<int, 4>{});
+    default:
+      return fn(std::integral_constant<int, 0>{});
+  }
+}
 
 }  // namespace isex

@@ -403,19 +403,6 @@ class CutEngine {
   std::vector<SubtreeTask>* tasks_ = nullptr;
 };
 
-BitVector to_bitvector(std::size_t size, const std::vector<std::uint64_t>& words) {
-  BitVector v(size);
-  for (std::size_t w = 0; w < words.size(); ++w) {
-    std::uint64_t bits = words[w];
-    while (bits != 0) {
-      const int b = __builtin_ctzll(bits);
-      bits &= bits - 1;
-      v.set(w * 64 + static_cast<std::size_t>(b));
-    }
-  }
-  return v;
-}
-
 template <int kWords>
 SingleCutResult run_search(const Dfg& g, const SearchTables& tables,
                            const Constraints& constraints, const CutSearchOptions& options) {
@@ -434,7 +421,7 @@ SingleCutResult run_search(const Dfg& g, const SearchTables& tables,
     Engine engine(tables, constraints, gate, options.cancel, Engine::Mode::direct);
     engine.search(0, 0, nullptr);
     result.merit = engine.best_merit();
-    result.cut = to_bitvector(g.num_nodes(), engine.best_cut_words());
+    result.cut = to_bitvector(g.num_nodes(), engine.best_cut_words().data(), tables.words);
     result.stats = engine.stats();
     if (options.stats != nullptr) {
       options.stats->serial_searches.fetch_add(1, std::memory_order_relaxed);
@@ -489,8 +476,9 @@ SingleCutResult run_search(const Dfg& g, const SearchTables& tables,
       }
     }
     result.merit = best_merit;
-    result.cut = best_words != nullptr ? to_bitvector(g.num_nodes(), *best_words)
-                                       : BitVector(g.num_nodes());
+    result.cut = best_words != nullptr
+                     ? to_bitvector(g.num_nodes(), best_words->data(), tables.words)
+                     : BitVector(g.num_nodes());
     result.stats = stats;
     if (options.stats != nullptr) {
       options.stats->split_searches.fetch_add(1, std::memory_order_relaxed);
@@ -511,24 +499,9 @@ SingleCutResult find_best_cut(const Dfg& g, const LatencyModel& latency,
   ISEX_CHECK(constraints.max_inputs >= 1 && constraints.max_outputs >= 1,
              "constraints must allow at least one input and output");
   const SearchTables tables = SearchTables::build(g, latency);
-  SingleCutResult result;
-  switch (tables.words) {
-    case 1:
-      result = run_search<1>(g, tables, constraints, options);
-      break;
-    case 2:
-      result = run_search<2>(g, tables, constraints, options);
-      break;
-    case 3:
-      result = run_search<3>(g, tables, constraints, options);
-      break;
-    case 4:
-      result = run_search<4>(g, tables, constraints, options);
-      break;
-    default:
-      result = run_search<0>(g, tables, constraints, options);
-      break;
-  }
+  SingleCutResult result = dispatch_words(tables.words, [&](auto width) {
+    return run_search<decltype(width)::value>(g, tables, constraints, options);
+  });
   if (result.cut.any()) result.metrics = compute_metrics(g, result.cut, latency);
   return result;
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "api/explorer.hpp"
 #include "dfg/random_dag.hpp"
 #include "support/cancellation.hpp"
+#include "support/hash.hpp"
 
 namespace isex {
 namespace {
@@ -49,6 +51,21 @@ ExplorationRequest blocks_request(int num_threads, int split_depth) {
   request.num_threads = num_threads;
   request.subtree_split_depth = split_depth;
   return request;
+}
+
+ExplorationRequest optimal_request(int num_threads) {
+  ExplorationRequest request;
+  request.constraints = cons(3, 2);
+  request.num_instructions = 4;
+  request.scheme = "optimal";
+  request.num_threads = num_threads;
+  return request;
+}
+
+std::string hex16(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
 }
 
 /// `report` JSON minus the sections that legitimately differ between runs
@@ -121,6 +138,52 @@ TEST(CancellationPurity, MidSearchTripLeavesTheSharedCacheUntouchedAcrossThreadC
       EXPECT_EQ(cache->to_json().dump(), never_run) << label;
     }
   }
+}
+
+TEST(CancellationPurity, OptimalMidSearchTripLeavesTheSharedCacheUntouched) {
+  // Every multi-cut search of these blocks polls more than five times, so
+  // the fifth poll — whichever search makes it, on any thread count — trips
+  // every search mid-walk and the memo layer stores none of them.
+  const std::vector<Dfg> blocks = random_blocks(31, 4, 14);
+  for (const int threads : {1, 4}) {
+    auto cache = std::make_shared<ResultCache>();
+    const Explorer explorer(kLat, cache);
+    const std::string never_run = cache->to_json().dump();
+
+    CancelToken token;
+    token.trip_after_polls(5);
+    RunHooks hooks;
+    hooks.cancel = &token;
+    const ExplorationReport report =
+        explorer.run_blocks(blocks, optimal_request(threads), hooks);
+
+    EXPECT_TRUE(report.partial) << threads;
+    EXPECT_EQ(report.partial_reason, "trip_after") << threads;
+    EXPECT_GT(report.stats.cuts_considered, 0u) << threads;
+    EXPECT_EQ(cache->to_json().dump(), never_run) << threads;
+  }
+}
+
+TEST(CancellationPurity, SerialOptimalTripReproducesThePinnedPartialReport) {
+  // The multi-cut engine polls the token once per search-tree node, so a
+  // serial run tripped after a fixed poll count stops at one fixed node:
+  // some searches complete (and are memoized), one returns its partial
+  // best, the rest never start. Both digests were recorded with the
+  // previous multi-cut engine; any change of poll cadence or visitation
+  // order moves the cut-off and changes them.
+  const std::vector<Dfg> blocks = random_blocks(31, 4, 14);
+  auto cache = std::make_shared<ResultCache>();
+  const Explorer explorer(kLat, cache);
+  CancelToken token;
+  token.trip_after_polls(1500);
+  RunHooks hooks;
+  hooks.cancel = &token;
+  const ExplorationReport report = explorer.run_blocks(blocks, optimal_request(1), hooks);
+
+  ASSERT_TRUE(report.partial);
+  EXPECT_EQ(report.stats.cuts_considered, 1199u);
+  EXPECT_EQ(hex16(hash_bytes(comparable(report.to_json()).dump())), "e6d4a46adc7eaf48");
+  EXPECT_EQ(hex16(hash_bytes(cache->to_json().dump())), "98e8b916d2c25d4f");
 }
 
 TEST(CancellationPurity, AlreadyExpiredDeadlineYieldsAPartialReportAndAPureCache) {

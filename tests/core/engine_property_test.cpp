@@ -168,17 +168,55 @@ TEST(EngineProperty, DynamicWordWidthPathByteIdenticalToReference) {
 }
 
 TEST(EngineProperty, MultiCutByteIdenticalToReference) {
+  // 5-27 ops, one to four cuts, every Constraints toggle. About a third of
+  // the searches get a budget that runs out mid-search: the partial best and
+  // its counters pin the visitation order, not just the optimum. The rest
+  // run under a cap that keeps the unpruned ablation trees test-sized.
   Rng rng(0x3C17);
-  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+  int exhausted = 0;
+  int completed = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     RandomDagConfig cfg;
-    cfg.num_ops = static_cast<int>(rng.uniform(5, 13));
+    cfg.num_ops = static_cast<int>(rng.uniform(5, 27));
+    cfg.num_inputs = static_cast<int>(rng.uniform(1, 6));
+    cfg.avg_fanin = 1.3 + 0.1 * static_cast<double>(rng.uniform(0, 8));
+    cfg.forbidden_fraction = rng.chance(0.4) ? 0.15 : 0.0;
     cfg.seed = seed * 977 + 5;
-    const Dfg g = random_dag(cfg);
-    const Constraints c = random_constraints(rng);
-    const int m = static_cast<int>(rng.uniform(1, 3));
+    Dfg g = random_dag(cfg);
+    if (rng.chance(0.3)) g.set_exec_freq(1.0 + 0.37 * static_cast<double>(rng.uniform(0, 50)));
+    Constraints c = random_constraints(rng);
+    c.search_budget = rng.chance(0.33) ? static_cast<std::uint64_t>(rng.uniform(1, 2000)) : 20000;
+    const int m = static_cast<int>(rng.uniform(1, 4));
     const MultiCutResult ref = find_best_cuts_reference(g, kLat, c, m);
     const MultiCutResult fast = find_best_cuts(g, kLat, c, m);
     expect_same_multi(fast, ref, "seed " + std::to_string(seed) + " m " + std::to_string(m));
+    (ref.stats.budget_exhausted ? exhausted : completed) += 1;
+  }
+  // Both halves of the contract are exercised in bulk.
+  EXPECT_GE(exhausted, 100);
+  EXPECT_GE(completed, 100);
+}
+
+TEST(EngineProperty, MultiCutDynamicWordWidthPathByteIdenticalToReference) {
+  // The kWords == 0 multi-cut engine (beyond 256 nodes) under tight 2-in/
+  // 1-out constraints: one cut to completion, two and three cuts stopped by
+  // their budgets (the two-cut tree alone holds ~9M cuts).
+  RandomDagConfig cfg;
+  cfg.num_ops = 300;
+  cfg.num_inputs = 8;
+  cfg.avg_fanin = 1.7;
+  cfg.liveout_fraction = 0.15;
+  cfg.seed = 300 * 1337;
+  const Dfg g = random_dag(cfg);
+  ASSERT_GT(g.num_nodes(), 256u);
+  Constraints c;
+  c.max_inputs = 2;
+  c.max_outputs = 1;
+  for (const auto& [m, budget] : {std::pair{1, 0}, std::pair{2, 100000}, std::pair{3, 5000}}) {
+    c.search_budget = static_cast<std::uint64_t>(budget);
+    const MultiCutResult ref = find_best_cuts_reference(g, kLat, c, m);
+    EXPECT_EQ(ref.stats.budget_exhausted, budget != 0) << m;
+    expect_same_multi(find_best_cuts(g, kLat, c, m), ref, "m " + std::to_string(m));
   }
 }
 

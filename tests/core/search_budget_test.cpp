@@ -1,13 +1,15 @@
 // Exact search-budget accounting across every engine (satellite of the
 // word-parallel rebuild): the considered-cut count never overshoots the
 // budget and lands on it exactly whenever the tree is larger — serially,
-// in the retained reference engine, and under subtree-parallel search with
-// any thread count (the tasks share one atomic BudgetGate).
+// in the retained reference engines, under subtree-parallel search with
+// any thread count (the tasks share one atomic BudgetGate), and in the
+// multiple-cut engine, alone or across searches sharing one external gate.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "core/multi_cut.hpp"
 #include "core/search_tables.hpp"
 #include "core/single_cut.hpp"
 #include "dfg/random_dag.hpp"
@@ -205,6 +207,66 @@ TEST(SearchBudget, RoomyBudgetLeavesEverythingByteIdentical) {
     EXPECT_EQ(split.stats.cuts_considered, serial.stats.cuts_considered)
         << threads << " threads";
     EXPECT_EQ(split.stats.best_updates, serial.stats.best_updates) << threads << " threads";
+  }
+}
+
+TEST(SearchBudget, MultiCutConsideredPinsExactlyAtTheCutoff) {
+  const Dfg g = budget_graph();
+  const std::uint64_t demand = find_best_cuts(g, kLat, budgeted(0), 2).stats.cuts_considered;
+  ASSERT_GT(demand, 100u);
+  const std::uint64_t budget = demand / 3;
+
+  const MultiCutResult engine = find_best_cuts(g, kLat, budgeted(budget), 2);
+  EXPECT_TRUE(engine.stats.budget_exhausted);
+  EXPECT_EQ(engine.stats.cuts_considered, budget);  // exact, not <=
+  const MultiCutResult reference = find_best_cuts_reference(g, kLat, budgeted(budget), 2);
+  EXPECT_TRUE(reference.stats.budget_exhausted);
+  EXPECT_EQ(reference.stats.cuts_considered, budget);
+  EXPECT_EQ(engine.cuts, reference.cuts);
+  EXPECT_EQ(engine.total_merit, reference.total_merit);
+
+  // Exhaustion means a cut was refused: a budget of exactly the demand
+  // completes, one ticket less does not.
+  const MultiCutResult exact = find_best_cuts(g, kLat, budgeted(demand), 2);
+  EXPECT_FALSE(exact.stats.budget_exhausted);
+  EXPECT_EQ(exact.stats.cuts_considered, demand);
+  const MultiCutResult short_one = find_best_cuts(g, kLat, budgeted(demand - 1), 2);
+  EXPECT_TRUE(short_one.stats.budget_exhausted);
+  EXPECT_EQ(short_one.stats.cuts_considered, demand - 1);
+}
+
+TEST(SearchBudget, MultiCutExternalGatePinsTheAggregateAcrossSearches) {
+  // The Optimal scheme's per-request budget: its multi-cut searches draw on
+  // one shared gate, serially or concurrently (a round's blocks run on the
+  // executor), and the aggregate lands on the budget exactly.
+  std::vector<Dfg> graphs;
+  std::uint64_t total_demand = 0;
+  for (const std::uint64_t seed : {3u, 4u, 5u}) {
+    RandomDagConfig cfg;
+    cfg.num_ops = 20;
+    cfg.seed = seed;
+    graphs.push_back(random_dag(cfg));
+    total_demand += find_best_cuts(graphs.back(), kLat, budgeted(0), 2).stats.cuts_considered;
+  }
+  ASSERT_GT(total_demand, 300u);
+  const std::uint64_t budget = total_demand / 2;
+
+  for (const int threads : {1, 3}) {
+    ThreadPool pool(threads);
+    BudgetGate gate(budget);
+    CutSearchOptions options;
+    options.budget = &gate;
+    std::vector<std::uint64_t> considered(graphs.size());
+    pool.parallel_for(graphs.size(), [&](std::size_t i) {
+      // Constraints say "unlimited": the external gate overrides them.
+      considered[i] = find_best_cuts(graphs[i], kLat, budgeted(0), 2, options)
+                          .stats.cuts_considered;
+    });
+    std::uint64_t aggregate = 0;
+    for (const std::uint64_t c : considered) aggregate += c;
+    EXPECT_EQ(aggregate, budget) << threads << " threads";  // exact, not <=
+    EXPECT_EQ(gate.consumed(), budget) << threads << " threads";
+    EXPECT_TRUE(gate.exhausted()) << threads << " threads";
   }
 }
 

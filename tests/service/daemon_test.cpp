@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/explorer.hpp"
+#include "api/scheme.hpp"
 #include "service/client.hpp"
 #include "service/daemon.hpp"
 #include "service/protocol.hpp"
@@ -122,18 +125,48 @@ TEST(ServiceDaemon, ServesReportsByteIdenticalToInProcessRuns) {
   EXPECT_GT(status.at("entries").as_uint(), 0u);
 }
 
+/// A selection scheme that holds its worker until the test releases it (or
+/// 20 s pass, so a failing test cannot hang the daemon's drain).
+class HeldScheme : public SelectionScheme {
+ public:
+  explicit HeldScheme(std::shared_future<void> release) : release_(std::move(release)) {}
+
+  const std::string& name() const override {
+    static const std::string n = "held";
+    return n;
+  }
+  const std::string& description() const override {
+    static const std::string d = "test scheme: returns once the test releases it";
+    return d;
+  }
+  PortfolioSelectionResult select(const SchemeInputs&) const override {
+    release_.wait_for(std::chrono::seconds(20));
+    return {};
+  }
+
+ private:
+  std::shared_future<void> release_;
+};
+
 TEST(ServiceDaemon, IdenticalInFlightRequestsAreDedupedToOneRun) {
   // One worker and a pipelined triple on one connection make the race
-  // deterministic: the busy frame occupies the worker, so the identical
-  // pair meets in the queue and the second attaches to the first.
+  // deterministic: the busy frame holds the worker until the test has seen
+  // both twins accepted, so the identical pair always meets in the queue and
+  // the second attaches to the first.
+  std::promise<void> release;
+  SchemeRegistry registry;
+  register_builtin_schemes(registry);
+  registry.add(std::make_unique<HeldScheme>(release.get_future().share()));
   DaemonConfig config = base_config("dedup");
   config.num_workers = 1;
+  config.registry = &registry;
   DaemonRunner runner(config);
   IsexClient client(runner.socket());
 
   RequestFrame busy;
   busy.type = "explore";
   busy.single = small_request("sha1", 4, 2);
+  busy.single->scheme = "held";
   RequestFrame twin;
   twin.type = "explore";
   twin.single = small_request("adpcmdecode", 3, 1);
@@ -143,12 +176,19 @@ TEST(ServiceDaemon, IdenticalInFlightRequestsAreDedupedToOneRun) {
   const std::string second_id = client.send_frame(twin);
 
   // The accepted events for the pair go out during the busy run, so capture
-  // them while draining the busy request's stream too.
+  // them while draining the busy request's stream too; the second one
+  // releases the busy run.
   Json first_accept, second_accept;
+  bool released = false;
   const auto capture = [&](const EventFrame& e) {
     if (e.event != "accepted") return;
     if (e.id == first_id) first_accept = e.data;
     if (e.id == second_id) second_accept = e.data;
+    if (!released && first_accept.type() == Json::Type::object &&
+        second_accept.type() == Json::Type::object) {
+      released = true;
+      release.set_value();
+    }
   };
   const Json busy_payload = client.collect_report(busy_id, capture);
   const Json first_payload = client.collect_report(first_id, capture);
