@@ -19,34 +19,6 @@ constexpr int kMaxCuts = 8;  // the quotient closure packs one byte per label
 /// Bit d set: label d. At most kMaxCuts labels, so one byte.
 using Labels = std::uint32_t;
 
-/// The search's budget. A caller's shared gate hands out one atomic ticket
-/// per cut, exact across the concurrent searches drawing on it; a budget the
-/// search owns alone is a plain counter with the same semantics (consumed
-/// never overshoots, a failed consume marks exhaustion), which spares the
-/// hot loop an atomic read-modify-write per cut.
-class Tickets {
- public:
-  Tickets(BudgetGate* shared, std::uint64_t budget) : shared_(shared), budget_(budget) {}
-
-  bool consume() {
-    if (shared_ != nullptr) return shared_->consume();
-    if (budget_ != 0 && used_ == budget_) {
-      exhausted_ = true;
-      return false;
-    }
-    ++used_;
-    return true;
-  }
-
-  bool exhausted() const { return shared_ != nullptr ? shared_->exhausted() : exhausted_; }
-
- private:
-  BudgetGate* const shared_;
-  const std::uint64_t budget_;
-  std::uint64_t used_ = 0;
-  bool exhausted_ = false;
-};
-
 /// The word-parallel (M+1)-ary walker, on the single-cut engine's design
 /// (src/core/single_cut.cpp): kWords fixes the row width at compile time
 /// (0 keeps it dynamic beyond 256 nodes). The state is one cut-word row per
@@ -70,25 +42,23 @@ class Tickets {
 template <int kWords>
 class MultiCutEngine {
  public:
-  MultiCutEngine(const SearchTables& t, const Constraints& cons, int m,
-                 const CutSearchOptions& options)
+  MultiCutEngine(const SearchTables& t, const Constraints& cons, int m, BudgetGate& gate,
+                 CancelToken* cancel)
       : t_(t),
         cons_(cons),
         m_(m),
-        // An externally shared gate overrides the per-search budget, exactly
-        // as in the single-cut runner.
-        tickets_(options.budget, cons.search_budget),
-        cancel_(options.cancel),
-        dynamic_words_(t.words),
-        cuts_(static_cast<std::size_t>(m) * words(), 0),
-        members_(words(), 0),
+        gate_(gate),
+        cancel_(cancel),
+        rows_(t),
+        cuts_(static_cast<std::size_t>(m) * rows_.words(), 0),
+        members_(rows_.words(), 0),
         cp_(t.num_nodes, 0.0),
         feeds_(static_cast<std::size_t>(m) * t.num_nodes, 0) {}
 
   MultiCutResult run() {
     walk(0);
     best_.stats = stats_;
-    best_.stats.budget_exhausted = tickets_.exhausted();
+    best_.stats.budget_exhausted = gate_.exhausted();
     best_.stats.cancelled = cancel_ != nullptr && cancel_->cancelled();
     return std::move(best_);
   }
@@ -103,42 +73,15 @@ class MultiCutEngine {
     bool tent_removed = false;
   };
 
-  std::size_t words() const {
-    if constexpr (kWords > 0) {
-      return kWords;
-    } else {
-      return dynamic_words_;
-    }
-  }
-
-  const std::uint64_t* desc_row(std::uint32_t n) const {
-    return t_.desc_rows.data() + n * words();
-  }
-  const std::uint64_t* dsucc_row(std::uint32_t n) const {
-    return t_.data_succ_rows.data() + n * words();
-  }
-  std::uint64_t* cut(int c) { return cuts_.data() + static_cast<std::size_t>(c) * words(); }
+  std::uint64_t* cut(int c) { return cuts_.data() + static_cast<std::size_t>(c) * rows_.words(); }
   const std::uint64_t* cut(int c) const {
-    return cuts_.data() + static_cast<std::size_t>(c) * words();
-  }
-
-  bool rows_meet(const std::uint64_t* a, const std::uint64_t* b) const {
-    for (std::size_t w = 0; w < words(); ++w) {
-      if (a[w] & b[w]) return true;
-    }
-    return false;
-  }
-  bool row_escapes(const std::uint64_t* row, const std::uint64_t* cut) const {
-    for (std::size_t w = 0; w < words(); ++w) {
-      if (row[w] & ~cut[w]) return true;
-    }
-    return false;
+    return cuts_.data() + static_cast<std::size_t>(c) * rows_.words();
   }
 
   std::uint32_t reach_row(int i) const { return (reach_ >> (8 * i)) & 0xFF; }
   bool quotient_cyclic() const { return (reach_ & 0x8040201008040201ULL) != 0; }
   bool stopped() const {
-    return tickets_.exhausted() || (cancel_ != nullptr && cancel_->cancelled());
+    return gate_.exhausted() || (cancel_ != nullptr && cancel_->cancelled());
   }
 
   /// The other non-empty labels u reaches: the quotient edges its include
@@ -146,7 +89,7 @@ class MultiCutEngine {
   Labels labels_reached(std::uint32_t u, int c) const {
     Labels reached = 0;
     for (int d = 0; d < open_; ++d) {
-      if (d != c && rows_meet(desc_row(u), cut(d))) reached |= 1u << d;
+      if (d != c && rows_.meets(rows_.desc(u), cut(d))) reached |= 1u << d;
     }
     return reached;
   }
@@ -155,7 +98,7 @@ class MultiCutEngine {
   bool loops_back(std::uint32_t u, int c) const {
     for (std::uint32_t j = t_.succ_off[u]; j < t_.succ_off[u + 1]; ++j) {
       const std::uint32_t s = t_.succ_node[j];
-      if (!(members_[s >> 6] >> (s & 63) & 1) && rows_meet(desc_row(s), cut(c))) return true;
+      if (!(members_[s >> 6] >> (s & 63) & 1) && rows_.meets(rows_.desc(s), cut(c))) return true;
     }
     return false;
   }
@@ -169,14 +112,14 @@ class MultiCutEngine {
   }
 
   void walk(std::uint32_t ci) {
-    if (tickets_.exhausted()) return;
+    if (gate_.exhausted()) return;
     if (cancel_ != nullptr && cancel_->poll()) return;
     if (ci == t_.cand_node.size()) return;
     const std::uint32_t u = t_.cand_node[ci];
     // Symmetry breaking: only one new label may open per decision.
     const int max_label = std::min(m_ - 1, open_);
     for (int c = 0; c <= max_label && !stopped(); ++c) {
-      if (!tickets_.consume()) break;
+      if (!gate_.consume()) break;
       ++stats_.cuts_considered;
       branch(ci, u, c);
     }
@@ -185,7 +128,7 @@ class MultiCutEngine {
   }
 
   void branch(std::uint32_t ci, std::uint32_t u, int c) {
-    const bool is_out = row_escapes(dsucc_row(u), cut(c));
+    const bool is_out = rows_.escapes(rows_.dsucc(u), cut(c));
     // On a pruning path every ancestor passed both checks, so every label
     // is within Nout and the quotient is acyclic here. A failing 1-branch
     // never descends: classify it with pure reads (output first, Fig. 6's
@@ -287,18 +230,7 @@ class MultiCutEngine {
     if (undo.tent_removed) --in_tent_[c];
 
     // Critical path: all of u's in-cut consumers are decided, so cp(u) is final.
-    double longest = 0.0;
-    const std::uint64_t* ds = dsucc_row(u);
-    const std::uint64_t* row = cut(c);
-    for (std::size_t w = 0; w < words(); ++w) {
-      std::uint64_t bits = ds[w] & row[w];
-      while (bits != 0) {
-        const int b = __builtin_ctzll(bits);
-        bits &= bits - 1;
-        longest = std::max(longest, cp_[(w << 6) + static_cast<std::size_t>(b)]);
-      }
-    }
-    cp_[u] = longest + t_.hw[u];
+    cp_[u] = rows_.max_over(rows_.dsucc(u), cut(c), cp_.data()) + t_.hw[u];
     undo.crit = crit_[c];
     undo.hw = hw_cycles_[c];
     crit_[c] = std::max(crit_[c], cp_[u]);
@@ -343,7 +275,7 @@ class MultiCutEngine {
     std::sort(ranked.begin(), ranked.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
     for (const auto& [merit, c] : ranked) {
-      best_.cuts.push_back(to_bitvector(t_.num_nodes, cut(c), words()));
+      best_.cuts.push_back(to_bitvector(t_.num_nodes, cut(c), rows_.words()));
     }
     ++stats_.best_updates;
   }
@@ -351,9 +283,9 @@ class MultiCutEngine {
   const SearchTables& t_;
   const Constraints& cons_;
   const int m_;
-  Tickets tickets_;
+  BudgetGate& gate_;
   CancelToken* cancel_;
-  const std::size_t dynamic_words_;
+  const RowView<kWords> rows_;
 
   std::vector<std::uint64_t> cuts_;     // label-major: m rows of words()
   std::vector<std::uint64_t> members_;  // union of the cut rows
@@ -380,8 +312,14 @@ MultiCutResult find_best_cuts(const Dfg& g, const LatencyModel& latency,
   ISEX_CHECK(g.finalized(), "find_best_cuts: graph not finalized");
   ISEX_CHECK(num_cuts >= 1 && num_cuts <= kMaxCuts, "num_cuts must be in [1, 8]");
   const SearchTables tables = SearchTables::build(g, latency);
+  // An externally shared gate overrides the per-search budget, exactly as in
+  // the single-cut runner.
+  BudgetGate local_gate(options.budget != nullptr ? 0 : constraints.search_budget);
+  BudgetGate& gate = options.budget != nullptr ? *options.budget : local_gate;
   return dispatch_words(tables.words, [&](auto width) {
-    return MultiCutEngine<decltype(width)::value>(tables, constraints, num_cuts, options).run();
+    return MultiCutEngine<decltype(width)::value>(tables, constraints, num_cuts, gate,
+                                                  options.cancel)
+        .run();
   });
 }
 

@@ -18,11 +18,15 @@
 //  * the candidates in search order with integer suffix latency sums (the
 //    branch-and-bound bound, in the one Cycles type end-to-end).
 //
+// RowView is the row arithmetic both engines run on those tables (meets,
+// escapes, the critical-path max), unrolled per row width by dispatch_words.
+//
 // BudgetGate is the engines' shared search-budget accountant: exact (the
 // consumed count never overshoots and saturates at the budget) and safe to
 // share across subtree-parallel tasks.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -133,6 +137,57 @@ struct SearchTables {
   std::vector<Cycles> cand_sw_suffix;  // size cand_node.size() + 1
 
   static SearchTables build(const Dfg& g, const LatencyModel& latency);
+};
+
+/// Word-parallel arithmetic on node-set rows of one SearchTables, at a row
+/// width fixed at compile time (kWords == 0 keeps it dynamic beyond 256
+/// nodes; see dispatch_words). Both engines keep their cuts as such rows.
+template <int kWords>
+class RowView {
+ public:
+  explicit RowView(const SearchTables& t)
+      : desc_(t.desc_rows.data()), dsucc_(t.data_succ_rows.data()), dynamic_words_(t.words) {}
+
+  std::size_t words() const { return kWords > 0 ? std::size_t{kWords} : dynamic_words_; }
+
+  /// Node n's transitive descendants and immediate data successors.
+  const std::uint64_t* desc(std::uint32_t n) const { return desc_ + n * words(); }
+  const std::uint64_t* dsucc(std::uint32_t n) const { return dsucc_ + n * words(); }
+
+  /// Whether `row` and `cut` share a node.
+  bool meets(const std::uint64_t* row, const std::uint64_t* cut) const {
+    for (std::size_t w = 0; w < words(); ++w) {
+      if (row[w] & cut[w]) return true;
+    }
+    return false;
+  }
+
+  /// Whether `row` has a node outside `cut`.
+  bool escapes(const std::uint64_t* row, const std::uint64_t* cut) const {
+    for (std::size_t w = 0; w < words(); ++w) {
+      if (row[w] & ~cut[w]) return true;
+    }
+    return false;
+  }
+
+  /// The largest value[x] over the nodes x in both `row` and `cut`; 0 if none.
+  double max_over(const std::uint64_t* row, const std::uint64_t* cut, const double* value) const {
+    double longest = 0.0;
+    for (std::size_t w = 0; w < words(); ++w) {
+      std::uint64_t bits = row[w] & cut[w];
+      while (bits != 0) {
+        const int b = __builtin_ctzll(bits);
+        bits &= bits - 1;
+        longest = std::max(longest, value[(w << 6) + static_cast<std::size_t>(b)]);
+      }
+    }
+    return longest;
+  }
+
+ private:
+  const std::uint64_t* desc_;
+  const std::uint64_t* dsucc_;
+  std::size_t dynamic_words_;
 };
 
 /// The cut bits of one `words`-wide row as a BitVector of `size` bits.

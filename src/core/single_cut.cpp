@@ -67,11 +67,11 @@ class CutEngine {
         cancel_(cancel),
         mode_(mode),
         limited_(gate.limited()),
-        dynamic_words_(t.words),
-        cut_(words(), 0),
+        rows_(t),
+        cut_(rows_.words(), 0),
         cp_(t.num_nodes, 0.0),
         feeds_(t.num_nodes, 0) {
-    if (mode_ == Mode::direct) best_cut_.assign(words(), 0);
+    if (mode_ == Mode::direct) best_cut_.assign(rows_.words(), 0);
   }
 
   /// Re-applies a generator-recorded decision prefix, mutating the
@@ -81,7 +81,7 @@ class CutEngine {
     for (std::uint32_t ci = 0; ci < task.resume_ci; ++ci) {
       if (!task.decisions[ci]) continue;  // exclusion leaves no state behind
       const std::uint32_t u = t_.cand_node[ci];
-      const bool is_out = row_escapes_cut(dsucc_row(u));
+      const bool is_out = rows_.escapes(rows_.dsucc(u), cut_.data());
       const bool viol = convexity_violation(u);
       Frame scratch;
       include(u, scratch, is_out, viol);  // restore data unused: prefixes never unwind
@@ -131,34 +131,7 @@ class CutEngine {
     double old_crit = 0.0;
   };
 
-  std::size_t words() const {
-    if constexpr (kWords > 0) {
-      return kWords;
-    } else {
-      return dynamic_words_;
-    }
-  }
-
-  const std::uint64_t* desc_row(std::uint32_t n) const {
-    return t_.desc_rows.data() + n * words();
-  }
-  const std::uint64_t* dsucc_row(std::uint32_t n) const {
-    return t_.data_succ_rows.data() + n * words();
-  }
   bool in_cut(std::uint32_t x) const { return cut_[x >> 6] >> (x & 63) & 1; }
-
-  bool row_hits_cut(const std::uint64_t* row) const {
-    for (std::size_t w = 0; w < words(); ++w) {
-      if (row[w] & cut_[w]) return true;
-    }
-    return false;
-  }
-  bool row_escapes_cut(const std::uint64_t* row) const {
-    for (std::size_t w = 0; w < words(); ++w) {
-      if (row[w] & ~cut_[w]) return true;
-    }
-    return false;
-  }
 
   /// A path u -> excluded -> cut member exists iff some successor outside
   /// the cut has a descendant row intersecting the cut (all successors are
@@ -166,7 +139,7 @@ class CutEngine {
   bool convexity_violation(std::uint32_t u) const {
     for (std::uint32_t j = t_.succ_off[u]; j < t_.succ_off[u + 1]; ++j) {
       const std::uint32_t s = t_.succ_node[j];
-      if (!in_cut(s) && row_hits_cut(desc_row(s))) return true;
+      if (!in_cut(s) && rows_.meets(rows_.desc(s), cut_.data())) return true;
     }
     return false;
   }
@@ -189,7 +162,7 @@ class CutEngine {
       // 1-branch never descends — classify it with pure reads (output
       // first: the classification mirrors Fig. 6's check order) and move
       // straight to the 0-branch; no state to mutate, nothing to undo.
-      const bool is_out = row_escapes_cut(dsucc_row(u));
+      const bool is_out = rows_.escapes(rows_.dsucc(u), cut_.data());
       if (out_count_ + (is_out ? 1 : 0) > cons_.max_outputs) {
         ++stats_.failed_output;
         take_zero_branch(f);
@@ -231,7 +204,7 @@ class CutEngine {
 
     // Pruning disabled (ablation): the walk descends through violations, so
     // the full include always happens and the counters carry the state.
-    const bool is_out = row_escapes_cut(dsucc_row(u));
+    const bool is_out = rows_.escapes(rows_.dsucc(u), cut_.data());
     const bool viol = convexity_violation(u);
     include(u, f, is_out, viol);
     const bool out_ok = out_count_ <= cons_.max_outputs;
@@ -344,17 +317,7 @@ class CutEngine {
     if (f.tent_removed) --in_tent_;
 
     // Critical path: all in-cut consumers are decided, so cp(u) is final.
-    double longest = 0.0;
-    const std::uint64_t* ds = dsucc_row(u);
-    for (std::size_t w = 0; w < words(); ++w) {
-      std::uint64_t bits = ds[w] & cut_[w];
-      while (bits != 0) {
-        const int b = __builtin_ctzll(bits);
-        bits &= bits - 1;
-        longest = std::max(longest, cp_[(w << 6) + static_cast<std::size_t>(b)]);
-      }
-    }
-    cp_[u] = longest + t_.hw[u];
+    cp_[u] = rows_.max_over(rows_.dsucc(u), cut_.data(), cp_.data()) + t_.hw[u];
     f.old_crit = crit_;
     crit_ = std::max(crit_, cp_[u]);
   }
@@ -379,7 +342,7 @@ class CutEngine {
   CancelToken* cancel_;
   const Mode mode_;
   const bool limited_;
-  const std::size_t dynamic_words_;
+  const RowView<kWords> rows_;
 
   std::vector<std::uint64_t> cut_;
   std::vector<double> cp_;

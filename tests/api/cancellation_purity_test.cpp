@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "api/explorer.hpp"
+#include "cache/fingerprint.hpp"
 #include "dfg/random_dag.hpp"
 #include "support/cancellation.hpp"
 #include "support/hash.hpp"
@@ -166,11 +167,13 @@ TEST(CancellationPurity, OptimalMidSearchTripLeavesTheSharedCacheUntouched) {
 
 TEST(CancellationPurity, SerialOptimalTripReproducesThePinnedPartialReport) {
   // The multi-cut engine polls the token once per search-tree node, so a
-  // serial run tripped after a fixed poll count stops at one fixed node:
-  // some searches complete (and are memoized), one returns its partial
-  // best, the rest never start. Both digests were recorded with the
-  // previous multi-cut engine; any change of poll cadence or visitation
-  // order moves the cut-off and changes them.
+  // serial run tripped after a fixed poll count stops at one fixed node.
+  // Greedy Optimal's first round runs each block's one-cut search in block
+  // order: blocks 0-2 complete (540 + 196 + 280 cuts) and are memoized,
+  // block 3's stops after 183 cuts with a partial best, and the later
+  // rounds' searches never start. The explicit checks pin what the poll
+  // cadence decides; the digests, recorded with the previous multi-cut
+  // engine, pin the rest of the report and of the memo.
   const std::vector<Dfg> blocks = random_blocks(31, 4, 14);
   auto cache = std::make_shared<ResultCache>();
   const Explorer explorer(kLat, cache);
@@ -181,9 +184,34 @@ TEST(CancellationPurity, SerialOptimalTripReproducesThePinnedPartialReport) {
   const ExplorationReport report = explorer.run_blocks(blocks, optimal_request(1), hooks);
 
   ASSERT_TRUE(report.partial);
+  EXPECT_EQ(report.identification_calls, 7u);
   EXPECT_EQ(report.stats.cuts_considered, 1199u);
+
+  // The completed searches, as "block/num_cuts/cuts_considered" in store order.
+  const Json memo = cache->to_json();
+  std::vector<std::string> stored;
+  for (const Json& e : memo.at("entries").as_array()) {
+    std::string block = "?";
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      if (hex16(dfg_fingerprint(blocks[b]).exact) == e.at("exact").as_string()) {
+        block = std::to_string(b);
+      }
+    }
+    stored.push_back(block + "/" + std::to_string(e.at("num_cuts").as_int()) + "/" +
+                     std::to_string(e.at("multi").at("stats").at("cuts_considered").as_uint()));
+  }
+  EXPECT_EQ(stored, (std::vector<std::string>{"0/1/540", "1/1/196", "2/1/280"}));
+  EXPECT_EQ(cache->num_entries(), 3u);
+
+  // The cut-off search's partial best.
+  ASSERT_EQ(report.cuts.size(), 4u);
+  EXPECT_EQ(report.cuts[3].block_index, 3);
+  EXPECT_EQ(report.cuts[3].merit, 30.0);
+  EXPECT_EQ(report.cuts[3].nodes, "{16, 17, 18}");
+  EXPECT_EQ(report.total_merit, 73.0);
+
   EXPECT_EQ(hex16(hash_bytes(comparable(report.to_json()).dump())), "e6d4a46adc7eaf48");
-  EXPECT_EQ(hex16(hash_bytes(cache->to_json().dump())), "98e8b916d2c25d4f");
+  EXPECT_EQ(hex16(hash_bytes(memo.dump())), "98e8b916d2c25d4f");
 }
 
 TEST(CancellationPurity, AlreadyExpiredDeadlineYieldsAPartialReportAndAPureCache) {
