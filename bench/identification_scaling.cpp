@@ -7,21 +7,24 @@
 // byte-identical results, then does the same for the multiple-cut engines
 // (find_best_cuts vs find_best_cuts_reference) on Fig. 11's Optimal setting
 // over the adpcmdecode, adpcmencode and g721 blocks, and finally measures
-// subtree-parallel scaling on a large synthetic block. Emits a
-// machine-readable BENCH_identification.json with cuts/sec, wall ms and
-// speedups.
+// subtree-parallel scaling on a large synthetic block, checking that every
+// thread count runs the same subtree tasks. Emits a machine-readable
+// BENCH_identification.json with cuts/sec, wall ms, speedups and the task
+// count.
 //
 // Regression gating (--baseline FILE, e.g. bench/baselines/
 // BENCH_identification.json): the *deterministic* gate compares the
 // search-stats counters (cuts_considered per single- and multi-cut
-// workload) against the recorded baseline and fails on >25% drift —
-// counters are exact across machines, so CI stays deterministic.
+// workload, and the subtree task count at the baseline's split depth)
+// against the recorded baseline and fails on >25% drift — counters are
+// exact across machines, so CI stays deterministic.
 // Wall-clock throughput (cuts/sec vs the baseline's) is always reported but
 // only enforced with --gate-wall, for local runs on the machine that
 // recorded the baseline.
 //
-// Exit codes: 0 ok, 1 regression gate failed, 2 engines disagreed (never
-// acceptable), 3 usage/IO error.
+// Exit codes: 0 ok, 1 regression gate failed, 2 engines disagreed or the
+// subtree task count differed between thread counts (never acceptable),
+// 3 usage/IO error.
 #include <chrono>
 #include <thread>
 #include <cmath>
@@ -161,6 +164,7 @@ Json row_json(const WorkloadRow& row) {
 
 struct ThreadRow {
   int threads = 0;
+  std::uint64_t tasks = 0;  // subtree tasks of one search, eager plus donated
   double ms = 0.0;
   double speedup = 0.0;  // vs the 1-thread split run
 };
@@ -299,17 +303,27 @@ int main(int argc, char** argv) {
             << big.candidates().size() << " candidates, split depth " << split_depth
             << ", " << TextTable::num(big_serial.stats.cuts_considered)
             << " cuts) ===\n\n";
-  TextTable scaling({"threads", "wall ms", "speedup vs 1 thread"});
+  TextTable scaling({"threads", "tasks", "wall ms", "speedup vs 1 thread"});
   std::vector<ThreadRow> thread_rows;
   double one_thread_ms = 0.0;
+  std::uint64_t donated_tasks = 0;
   for (const int threads : {1, 2, 4, 8}) {
     ThreadPool pool(threads);
+    SearchEngineStats engine_stats;
     SingleCutResult split_result =
         find_best_cut(big, LatencyModel::standard_018um(), big_cons,
-                      CutSearchOptions{&pool, split_depth, nullptr});
+                      CutSearchOptions{&pool, split_depth, &engine_stats});
     if (!same_result(split_result, big_serial)) {
       std::cerr << "ENGINE MISMATCH: subtree-parallel result diverged at " << threads
                 << " threads\n";
+      return 2;
+    }
+    // Donation reads only each task's own cut count, so the task set is the
+    // same for every thread count and schedule.
+    const std::uint64_t tasks = engine_stats.subtree_tasks.load();
+    if (!thread_rows.empty() && tasks != thread_rows.front().tasks) {
+      std::cerr << "ENGINE MISMATCH: " << tasks << " subtree tasks at " << threads
+                << " threads, " << thread_rows.front().tasks << " at 1 thread\n";
       return 2;
     }
     const auto split_engine = [&](const Dfg& g) {
@@ -318,11 +332,14 @@ int main(int argc, char** argv) {
     };
     ThreadRow row;
     row.threads = threads;
+    row.tasks = tasks;
+    donated_tasks = engine_stats.donated_tasks.load();
     row.ms = time_sweep(big_blocks, split_engine, target_ms);
     if (threads == 1) one_thread_ms = row.ms;
     row.speedup = one_thread_ms / row.ms;
     scaling.add_row({TextTable::num(static_cast<std::uint64_t>(row.threads)),
-                     TextTable::num(row.ms, 3), TextTable::num(row.speedup, 2)});
+                     TextTable::num(row.tasks), TextTable::num(row.ms, 3),
+                     TextTable::num(row.speedup, 2)});
     thread_rows.push_back(row);
   }
   scaling.print(std::cout);
@@ -364,6 +381,8 @@ int main(int argc, char** argv) {
     s.set("candidates", static_cast<std::int64_t>(big.candidates().size()));
     s.set("cuts_considered", big_serial.stats.cuts_considered);
     s.set("split_depth", split_depth);
+    s.set("subtree_tasks", thread_rows.front().tasks);
+    s.set("donated_tasks", donated_tasks);
     Json threads = Json::array();
     for (const ThreadRow& row : thread_rows) {
       Json r = Json::object();
@@ -435,6 +454,33 @@ int main(int argc, char** argv) {
     if (!compare(&baseline, rows, "") ||
         !compare(baseline.find("multi_cut"), multi_rows, "multi_cut ")) {
       return 3;
+    }
+    // The subtree task count is deterministic as well, but only comparable
+    // at the split depth the baseline was recorded with.
+    const Json* base_subtree = baseline.find("subtree");
+    if (base_subtree == nullptr || base_subtree->find("subtree_tasks") == nullptr) {
+      std::cerr << "baseline has no entry for subtree tasks\n";
+      return 3;
+    }
+    const int base_depth = static_cast<int>(base_subtree->at("split_depth").as_int());
+    if (base_depth == split_depth) {
+      const std::uint64_t base_tasks = base_subtree->at("subtree_tasks").as_uint();
+      const double drift =
+          std::abs(static_cast<double>(thread_rows.front().tasks) -
+                   static_cast<double>(base_tasks)) /
+          static_cast<double>(base_tasks);
+      const bool tasks_ok = drift <= 0.25;
+      std::cout << "subtree tasks: counters drift " << TextTable::num(drift * 100.0, 2)
+                << "% (" << (tasks_ok ? "ok" : "FAIL") << ")\n";
+      if (!tasks_ok) gate_failed = true;
+      Json c = Json::object();
+      c.set("name", "subtree tasks");
+      c.set("baseline_subtree_tasks", base_tasks);
+      c.set("counters_drift", drift);
+      comparison.push_back(std::move(c));
+    } else {
+      std::cout << "subtree tasks: baseline recorded at split depth " << base_depth
+                << ", not gated\n";
     }
     report.set("baseline_comparison", std::move(comparison));
   }

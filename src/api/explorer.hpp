@@ -70,9 +70,9 @@ struct ExplorationRequest {
 
   /// Split each block's enumeration tree at this candidate-decision depth
   /// into independent subtree tasks on the identification thread pool
-  /// (0 = off; 4–8 is a good range). Results are byte-identical for any
-  /// value and thread count; branch-and-bound searches stay serial (see
-  /// CutSearchOptions). Pays off on large single-block kernels — and in the
+  /// (0 = off; running tasks donate work, so a small depth is enough).
+  /// Results are byte-identical for any value and thread count;
+  /// branch-and-bound searches stay serial (see CutSearchOptions). Pays off on large single-block kernels — and in the
   /// iterative scheme's later rounds, where only one collapsed block
   /// re-identifies and per-block parallelism has nothing left to do.
   /// report.engine records what the runner did.

@@ -93,7 +93,8 @@ struct CacheReport {
 struct EngineReport {
   /// The requested split depth (0 = serial engine only).
   int subtree_split_depth = 0;
-  /// Subtree tasks dispatched across all split searches.
+  /// Subtree tasks dispatched across all split searches, eager plus
+  /// donated (see SearchEngineStats::subtree_tasks).
   std::uint64_t subtree_tasks = 0;
   /// Identification searches that split into subtree tasks.
   std::uint64_t split_searches = 0;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
+#include <deque>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -13,6 +16,13 @@ namespace isex {
 
 namespace {
 
+/// Cuts a subtree task considers between two donations. Every time a task's
+/// own cuts_considered count crosses a multiple of this, it queues the
+/// pending 0-branch of its shallowest undonated include as a new task. The
+/// trigger reads nothing but the task's own count, so the task set is a pure
+/// function of the graph, the constraints and the split depth.
+constexpr std::uint64_t kDonationQuantum = 16384;
+
 /// A best-cut improvement observed during the search: the merit and a
 /// snapshot of the cut words at that point.
 struct Event {
@@ -20,21 +30,86 @@ struct Event {
   std::vector<std::uint64_t> cut;
 };
 
-/// One independent subtree of the enumeration tree: the include/exclude
-/// decisions of the first `resume_ci` candidates.
-struct SubtreeTask {
-  std::vector<std::uint8_t> decisions;
-  std::uint32_t resume_ci = 0;
-};
-
 /// One element of the serial visitation order: either an inline improvement
-/// event or a spawned subtree task (whose own events splice in here). The
-/// merge replays this stream sequentially, which reproduces the serial
+/// event or a queued subtree task (whose own slots splice in here). The
+/// merge replays these streams sequentially, which reproduces the serial
 /// engine's best cut and its exact best_updates count.
 struct Slot {
   int task = -1;  // >= 0: subtree task index; -1: inline event
   Event event;
 };
+
+/// One independent subtree of the enumeration tree, and what running it
+/// recorded.
+struct SubtreeTask {
+  /// The include decisions of the first `resume_ci` candidates, as cut
+  /// words: a candidate below resume_ci is included iff its bit is set.
+  std::vector<std::uint64_t> prefix;
+  std::uint32_t resume_ci = 0;
+  /// The donor's running best when it queued the task: a lower bound on the
+  /// serial best before this subtree, so starting from it drops no event
+  /// the merge needs.
+  double seed_merit = 0.0;
+  EnumerationStats stats;
+  std::vector<Slot> slots;
+};
+
+/// The tasks of one split search: the generator's, then every donated one,
+/// claimed in order by the worker loops. A deque, so a donation never moves
+/// a task another worker is running.
+class TaskQueue {
+ public:
+  /// Appends `task` and returns its index.
+  std::size_t push(SubtreeTask task) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    tasks_.push_back(std::move(task));
+    ready_.notify_one();
+    return tasks_.size() - 1;
+  }
+
+  /// Runs `run` on queued tasks until none is queued and none is running
+  /// (a running task may still donate). A task that throws still leaves
+  /// the queue, so the other loops finish and the exception propagates.
+  template <typename Run>
+  void drain(const Run& run) {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (true) {
+      ready_.wait(lock, [&] { return next_ < tasks_.size() || running_ == 0; });
+      if (next_ == tasks_.size()) return;
+      SubtreeTask& task = tasks_[next_++];
+      ++running_;
+      lock.unlock();
+      try {
+        run(task);
+      } catch (...) {
+        lock.lock();
+        --running_;
+        ready_.notify_all();
+        throw;
+      }
+      lock.lock();
+      if (--running_ == 0) ready_.notify_all();
+    }
+  }
+
+  /// Not while a drain runs.
+  const std::deque<SubtreeTask>& tasks() const { return tasks_; }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable ready_;
+  std::deque<SubtreeTask> tasks_;
+  std::size_t next_ = 0;
+  std::size_t running_ = 0;
+};
+
+/// direct: keep the running best in place (the serial engine — also what
+/// branch-and-bound needs, its bound consults the global best).
+/// record: emit improvement events over a task-local running best for the
+/// deterministic merge (the split generator and every subtree task).
+/// A template argument, so the serial engine's loop carries none of the
+/// split and donation checks.
+enum class Mode { direct, record };
 
 /// The word-parallel walker. kWords fixes the row width at compile time so
 /// every closure scan unrolls (kWords == 0 keeps it dynamic for graphs
@@ -50,60 +125,67 @@ struct Slot {
 ///    cut), so 0-branches transform the current frame in place and the
 ///    stack holds only live includes — and on a pruning path, a *failing*
 ///    1-branch is classified with pure reads and never touches the state.
-template <int kWords>
+template <int kWords, Mode kMode>
 class CutEngine {
  public:
-  /// direct: keep the running best in place (the serial engine — also what
-  /// branch-and-bound needs, its bound consults the global best).
-  /// record: emit improvement events over a task-local running best for the
-  /// deterministic merge (the split generator and every subtree task).
-  enum class Mode { direct, record };
-
   CutEngine(const SearchTables& t, const Constraints& cons, BudgetGate& gate,
-            CancelToken* cancel, Mode mode)
+            CancelToken* cancel)
       : t_(t),
         cons_(cons),
         gate_(&gate),
         cancel_(cancel),
-        mode_(mode),
         limited_(gate.limited()),
         rows_(t),
         cut_(rows_.words(), 0),
         cp_(t.num_nodes, 0.0),
         feeds_(t.num_nodes, 0) {
-    if (mode_ == Mode::direct) best_cut_.assign(rows_.words(), 0);
+    if constexpr (kMode == Mode::direct) best_cut_.assign(rows_.words(), 0);
   }
 
-  /// Re-applies a generator-recorded decision prefix, mutating the
-  /// incremental state without counting statistics or budget (the generator
-  /// already accounted every prefix 1-branch).
-  void replay(const SubtreeTask& task) {
+  /// Re-applies a queued task's decision prefix, mutating the incremental
+  /// state without counting statistics or budget (its donor already
+  /// accounted every prefix 1-branch), frees the prefix, and starts from
+  /// the donor's running best.
+  void replay(SubtreeTask& task) {
+    const std::vector<std::uint64_t> prefix = std::move(task.prefix);
     for (std::uint32_t ci = 0; ci < task.resume_ci; ++ci) {
-      if (!task.decisions[ci]) continue;  // exclusion leaves no state behind
       const std::uint32_t u = t_.cand_node[ci];
+      if ((prefix[u >> 6] >> (u & 63) & 1) == 0) continue;  // exclusion leaves no state
       const bool is_out = rows_.escapes(rows_.dsucc(u), cut_.data());
       const bool viol = convexity_violation(u);
       Frame scratch;
       include(u, scratch, is_out, viol);  // restore data unused: prefixes never unwind
     }
+    best_merit_ = task.seed_merit;
   }
 
-  /// Runs the walk from candidate index `start_ci`. With `split_depth > 0`
-  /// (generator mode), descents past that depth become `tasks` instead.
-  void search(std::uint32_t start_ci, int split_depth, std::vector<SubtreeTask>* tasks) {
+  /// Runs the walk from candidate index `start_ci`. With `split_depth` > 0
+  /// (the generator), descents past that depth are queued on `queue` as
+  /// tasks instead; with a queue and no split depth (a task), the walk
+  /// donates to it every kDonationQuantum cuts.
+  ///
+  /// Out of line, so each engine keeps one copy of the loop with enter()
+  /// inlined into it: inlined into a recorder's two callers, the loop lost
+  /// enter() and subtree tasks ran about 35% slower.
+  [[gnu::noinline]] void search(std::uint32_t start_ci, int split_depth, TaskQueue* queue) {
     split_depth_ = split_depth;
-    tasks_ = tasks;
-    if (split_depth_ > 0) path_.assign(static_cast<std::size_t>(split_depth_), 0);
+    queue_ = queue;
+    donating_ = queue != nullptr && split_depth == 0;
     const std::uint32_t num_cand = static_cast<std::uint32_t>(t_.cand_node.size());
     if (start_ci >= num_cand) return;
-    stack_.clear();
     stack_.reserve(num_cand);
     stack_.push_back(Frame{start_ci, 0, 0, 0, 0, 0.0});
     while (!stack_.empty()) {
       Frame& f = stack_.back();
-      if (f.stage == 1) {  // back from the 1-subtree: undo, take the 0-branch
+      if (f.stage != 0) {  // back from the 1-subtree: undo, then the 0-branch
         undo_include(t_.cand_node[f.ci], f);
-        take_zero_branch(f);
+        if (f.stage == 1) {
+          take_zero_branch(f);
+        } else {  // its task's slot stands where the 0-branch's events would
+          slots_.push_back(Slot{donated_.back(), {}});
+          donated_.pop_back();
+          stack_.pop_back();
+        }
         continue;
       }
       if (f.ci >= num_cand || (limited_ && gate_->exhausted()) ||
@@ -119,12 +201,11 @@ class CutEngine {
   double best_merit() const { return best_merit_; }
   const std::vector<std::uint64_t>& best_cut_words() const { return best_cut_; }
   std::vector<Slot> take_slots() { return std::move(slots_); }
-  const std::vector<Slot>& slots() const { return slots_; }
 
  private:
   struct Frame {
     std::uint32_t ci = 0;   // candidate index this frame decides
-    std::uint8_t stage = 0; // 0: enter, 1: its 1-subtree finished
+    std::uint8_t stage = 0; // 0: enter; 1: in its 1-subtree; 2: ditto, 0-branch donated
     std::uint8_t convex_violation = 0;
     std::uint8_t is_output = 0;
     std::uint8_t tent_removed = 0;
@@ -155,6 +236,9 @@ class CutEngine {
       return;
     }
     ++stats_.cuts_considered;
+    if constexpr (kMode == Mode::record) {
+      if (donating_ && stats_.cuts_considered % kDonationQuantum == 0) donate();
+    }
 
     if (cons_.enable_pruning) {
       // On a pruning path every ancestor passed both checks, so
@@ -242,54 +326,71 @@ class CutEngine {
   }
 
   /// Descends into the 1-subtree — or, in generator mode at the split
-  /// depth, records it as a task and lets stage 1 undo the include next.
+  /// depth, queues it as a task and lets stage 1 undo the include next.
   void take_one_branch(Frame& f) {
     f.stage = 1;
     const std::uint32_t child = f.ci + 1;
-    if (split_depth_ > 0) {
-      path_[f.ci] = 1;
-      if (child >= static_cast<std::uint32_t>(split_depth_)) {
-        spawn(child);
-        return;
-      }
+    if (kMode == Mode::record && split_depth_ > 0 &&
+        child >= static_cast<std::uint32_t>(split_depth_)) {
+      spawn(child);
+      return;
     }
     stack_.push_back(Frame{child, 0, 0, 0, 0, 0.0});  // may invalidate f
   }
 
   /// The 0-branch leaves no state behind, so the frame just advances in
-  /// place (the stack only ever holds live includes) — or spawns the
+  /// place (the stack only ever holds live includes) — or queues the
   /// subtree as a task at the split depth and retires.
   void take_zero_branch(Frame& f) {
     const std::uint32_t next = f.ci + 1;
-    if (split_depth_ > 0) {
-      path_[f.ci] = 0;
-      if (next >= static_cast<std::uint32_t>(split_depth_)) {
-        spawn(next);
-        stack_.pop_back();
-        return;
-      }
+    if (kMode == Mode::record && split_depth_ > 0 &&
+        next >= static_cast<std::uint32_t>(split_depth_)) {
+      spawn(next);
+      stack_.pop_back();
+      return;
     }
     f.ci = next;
     f.stage = 0;
   }
 
+  /// The generator decides only candidates below `resume_ci`, so its cut
+  /// words are exactly the task's decision prefix.
   void spawn(std::uint32_t resume_ci) {
-    // An exhausted budget makes every further task a no-op (its worker
-    // exits on the shared gate immediately); don't count ghosts. Same for
-    // a tripped cancel token.
-    if (limited_ && gate_->exhausted()) return;
-    if (cancel_ != nullptr && cancel_->cancelled()) return;
-    SubtreeTask task;
-    task.decisions.assign(path_.begin(), path_.begin() + resume_ci);
-    task.resume_ci = resume_ci;
-    slots_.push_back(Slot{static_cast<int>(tasks_->size()), {}});
-    tasks_->push_back(std::move(task));
+    if (may_queue()) slots_.push_back(Slot{enqueue(cut_, resume_ci), {}});
+  }
+
+  /// Queues the pending 0-branch of the shallowest undonated include.
+  /// Donated frames stay a contiguous run at the bottom of the stack (each
+  /// donation takes the frame just above them), so that include is
+  /// stack_[donated_.size()], if it lies below the frame being entered.
+  void donate() {
+    const std::size_t d = donated_.size();
+    if (d + 1 >= stack_.size() || !may_queue()) return;
+    std::vector<std::uint64_t> prefix = cut_;
+    for (std::size_t i = d; i + 1 < stack_.size(); ++i) {  // its include and all deeper
+      const std::uint32_t u = t_.cand_node[stack_[i].ci];
+      prefix[u >> 6] &= ~(std::uint64_t{1} << (u & 63));
+    }
+    stack_[d].stage = 2;
+    donated_.push_back(enqueue(std::move(prefix), stack_[d].ci + 1));
+  }
+
+  /// An exhausted budget makes every further task a no-op (its walk exits
+  /// on the shared gate at once); don't count ghosts. Same for a tripped
+  /// cancel token.
+  bool may_queue() const {
+    return !(limited_ && gate_->exhausted()) && !(cancel_ != nullptr && cancel_->cancelled());
+  }
+
+  int enqueue(std::vector<std::uint64_t> prefix, std::uint32_t resume_ci) {
+    return static_cast<int>(
+        queue_->push(SubtreeTask{std::move(prefix), resume_ci, best_merit_, {}, {}}));
   }
 
   void offer(double merit) {
     if (merit <= best_merit_) return;
     best_merit_ = merit;
-    if (mode_ == Mode::direct) {
+    if constexpr (kMode == Mode::direct) {
       best_cut_ = cut_;
       ++stats_.best_updates;  // the merge recomputes this in record mode
     } else {
@@ -340,7 +441,6 @@ class CutEngine {
   const Constraints& cons_;
   BudgetGate* gate_;
   CancelToken* cancel_;
-  const Mode mode_;
   const bool limited_;
   const RowView<kWords> rows_;
 
@@ -361,15 +461,17 @@ class CutEngine {
   std::vector<Frame> stack_;
   std::vector<Slot> slots_;  // record mode only
 
-  int split_depth_ = 0;
-  std::vector<std::uint8_t> path_;
-  std::vector<SubtreeTask>* tasks_ = nullptr;
+  int split_depth_ = 0;         // generator only
+  TaskQueue* queue_ = nullptr;  // generator and tasks
+  bool donating_ = false;       // tasks only
+  std::vector<int> donated_;    // task index per stage-2 frame, bottom up
 };
 
 template <int kWords>
 SingleCutResult run_search(const Dfg& g, const SearchTables& tables,
                            const Constraints& constraints, const CutSearchOptions& options) {
-  using Engine = CutEngine<kWords>;
+  using Serial = CutEngine<kWords, Mode::direct>;
+  using Recorder = CutEngine<kWords, Mode::record>;
   // An externally shared gate (the service's per-request budget) overrides
   // the per-search one; both enforce min(demand, budget) exactly.
   BudgetGate local_gate(options.budget != nullptr ? 0 : constraints.search_budget);
@@ -381,7 +483,7 @@ SingleCutResult run_search(const Dfg& g, const SearchTables& tables,
   // searches stay serial (and stat-exact).
   const bool split = options.split_depth > 0 && !constraints.branch_and_bound;
   if (!split) {
-    Engine engine(tables, constraints, gate, options.cancel, Engine::Mode::direct);
+    Serial engine(tables, constraints, gate, options.cancel);
     engine.search(0, 0, nullptr);
     result.merit = engine.best_merit();
     result.cut = to_bitvector(g.num_nodes(), engine.best_cut_words().data(), tables.words);
@@ -391,51 +493,56 @@ SingleCutResult run_search(const Dfg& g, const SearchTables& tables,
     }
   } else {
     // Generator: the serial engine over the first split_depth candidate
-    // decisions, recording each surviving depth-limit descent as a task.
-    Engine generator(tables, constraints, gate, options.cancel, Engine::Mode::record);
-    std::vector<SubtreeTask> tasks;
-    generator.search(0, options.split_depth, &tasks);
-
-    struct TaskOutcome {
-      EnumerationStats stats;
-      std::vector<Slot> slots;
-    };
-    std::vector<TaskOutcome> outcomes(tasks.size());
+    // decisions, queueing each surviving depth-limit descent as a task.
+    // One worker loop per executor thread then drains the queue, which the
+    // running tasks keep refilling by donation.
+    TaskQueue queue;
+    Recorder generator(tables, constraints, gate, options.cancel);
+    generator.search(0, options.split_depth, &queue);
+    const std::vector<Slot> root = generator.take_slots();
+    const std::size_t eager_tasks = queue.tasks().size();
     Executor* executor =
         options.executor != nullptr ? options.executor : &serial_executor();
-    executor->parallel_for(tasks.size(), [&](std::size_t i) {
-      Engine worker(tables, constraints, gate, options.cancel, Engine::Mode::record);
-      worker.replay(tasks[i]);
-      worker.search(tasks[i].resume_ci, 0, nullptr);
-      outcomes[i] = TaskOutcome{worker.stats(), worker.take_slots()};
+    executor->parallel_for(static_cast<std::size_t>(executor->num_threads()), [&](std::size_t) {
+      queue.drain([&](SubtreeTask& task) {
+        Recorder worker(tables, constraints, gate, options.cancel);
+        worker.replay(task);
+        worker.search(task.resume_ci, 0, &queue);
+        task.stats = worker.stats();
+        task.slots = worker.take_slots();
+      });
     });
+    const std::deque<SubtreeTask>& tasks = queue.tasks();
 
     // Deterministic merge: replay the improvement events in the serial
-    // engine's visitation order. An event survives iff it beats everything
+    // engine's visitation order, splicing each task's slots in where its
+    // slot stands in its donor's. An event survives iff it beats everything
     // visited before it — exactly the serial best-update sequence, so the
     // final cut, merit and best_updates count match the serial run bit for
-    // bit (events are recorded against task-local running bests, which only
-    // ever *under*-approximate the serial best: anything they suppress the
-    // serial engine would have skipped too).
+    // bit (tasks start from their donor's running best, which only ever
+    // *under*-approximates the serial best before them: anything they
+    // suppress the serial engine would have skipped too).
     EnumerationStats stats = generator.stats();
-    for (const TaskOutcome& outcome : outcomes) stats += outcome.stats;
+    for (const SubtreeTask& task : tasks) stats += task.stats;
     stats.best_updates = 0;
     double best_merit = 0.0;
     const std::vector<std::uint64_t>* best_words = nullptr;
-    const auto consider = [&](const Event& e) {
-      if (e.merit > best_merit) {
-        best_merit = e.merit;
-        best_words = &e.cut;
-        ++stats.best_updates;
-      }
-    };
-    for (const Slot& slot : generator.slots()) {
-      if (slot.task < 0) {
-        consider(slot.event);
+    std::vector<std::pair<const Slot*, const Slot*>> streams{
+        {root.data(), root.data() + root.size()}};
+    while (!streams.empty()) {
+      auto& [next, end] = streams.back();
+      if (next == end) {
+        streams.pop_back();
         continue;
       }
-      for (const Slot& task_slot : outcomes[static_cast<std::size_t>(slot.task)].slots) {
-        consider(task_slot.event);
+      const Slot& slot = *next++;
+      if (slot.task >= 0) {
+        const std::vector<Slot>& spliced = tasks[static_cast<std::size_t>(slot.task)].slots;
+        streams.emplace_back(spliced.data(), spliced.data() + spliced.size());
+      } else if (slot.event.merit > best_merit) {
+        best_merit = slot.event.merit;
+        best_words = &slot.event.cut;
+        ++stats.best_updates;
       }
     }
     result.merit = best_merit;
@@ -446,6 +553,8 @@ SingleCutResult run_search(const Dfg& g, const SearchTables& tables,
     if (options.stats != nullptr) {
       options.stats->split_searches.fetch_add(1, std::memory_order_relaxed);
       options.stats->subtree_tasks.fetch_add(tasks.size(), std::memory_order_relaxed);
+      options.stats->donated_tasks.fetch_add(tasks.size() - eager_tasks,
+                                             std::memory_order_relaxed);
     }
   }
   result.stats.budget_exhausted = gate.exhausted();

@@ -21,12 +21,15 @@
 // Output and convexity violations eliminate the whole subtree (Fig. 7).
 //
 // On top of the serial engine sits a deterministic subtree-parallel runner
-// (CutSearchOptions): the enumeration tree is split at a fixed candidate-
-// decision depth into independent tasks dispatched on an Executor, each
-// owning its state arrays; a sequential merge replays the serial engine's
-// visitation order over the recorded best-cut events, so the returned cut,
-// merit and every statistics counter are byte-identical to the serial run
-// for any thread count.
+// (CutSearchOptions). An eager split at a fixed candidate-decision depth
+// queues the subtrees below it as independent tasks, each owning its state
+// arrays. Worker loops on an Executor drain the queue, and every task, each
+// time its own cut count crosses a fixed quantum, donates the pending
+// 0-branch of its shallowest include as a new task, so a skewed, pruned
+// tree still spreads over the pool. A sequential merge replays the serial
+// engine's visitation order over the recorded best-cut events, so the
+// returned cut, merit and every statistics counter are byte-identical to
+// the serial run for any thread count.
 #pragma once
 
 #include <atomic>
@@ -63,8 +66,15 @@ struct SingleCutResult {
 /// sink may serve many concurrent searches (the Explorer wires one per
 /// request and surfaces the totals as the report's "engine" section).
 struct SearchEngineStats {
-  /// Subtree tasks dispatched across all split searches.
+  /// Subtree tasks dispatched across all split searches: the eager split's
+  /// plus the donated ones. Donation reads only each task's own cut count,
+  /// so this is the same for any thread count and schedule, unless a
+  /// budget gate exhausts or the cancel token trips mid-search: tasks stop
+  /// donating then, and how many had donated by that point depends on the
+  /// schedule.
   std::atomic<std::uint64_t> subtree_tasks{0};
+  /// Of subtree_tasks, those donated by running tasks.
+  std::atomic<std::uint64_t> donated_tasks{0};
   /// Searches that split into subtree tasks.
   std::atomic<std::uint64_t> split_searches{0};
   /// Searches that ran serially (split disabled, or branch-and-bound forced
@@ -82,10 +92,11 @@ struct SearchEngineStats {
 struct CutSearchOptions {
   /// Where subtree tasks run; null runs them inline on the caller.
   Executor* executor = nullptr;
-  /// Candidate-decision depth at which the enumeration tree is split into
-  /// independent subtree tasks (up to 2^split_depth of them); 0 = serial.
-  /// Depths of 4–8 give enough tasks to saturate a pool on large blocks
-  /// while keeping the serial prefix negligible.
+  /// Candidate-decision depth of the eager split: the first split_depth
+  /// candidate decisions run serially and queue up to 2^split_depth
+  /// subtree tasks; 0 = serial. The eager split alone leaves most of a
+  /// pruned tree in one task; donation is what balances the load, so
+  /// depth 1 already keeps a pool busy on a large block.
   int split_depth = 0;
   /// Optional counter sink.
   SearchEngineStats* stats = nullptr;

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <cstddef>
-#include <new>
+#include <ostream>
 
 #include "afu/afu_builder.hpp"
 #include "afu/rewrite.hpp"
@@ -84,34 +83,17 @@ TEST(AfuBuilder, RejectsNonConvexCut) {
   EXPECT_THROW(build_afu(m, b.function(), g, cut, kLat, "bad"), Error);
 }
 
-// ctest lists each case under gtest's byte dump of the copy its generator
-// makes with `new`, and the dump opens with the workload string's pointer
-// into that copy. Left to the heap, that byte moves whenever the test binary
-// allocates a different amount before main(), renaming the cases. Copies go
-// to a fixed offset of 256-aligned storage instead, which pins the byte to
-// 0x70, the value the listed names carry.
-alignas(256) unsigned char g_case_slot[256];
-bool g_case_slot_used = false;
-
 struct RewriteCase {
   std::string workload;
   int nin, nout, ninstr;
   bool rom;
-
-  static void* operator new(std::size_t size) {
-    if (g_case_slot_used) return ::operator new(size);
-    g_case_slot_used = true;
-    return g_case_slot + 0x60;
-  }
-  static void operator delete(void* p) {
-    if (p == g_case_slot + 0x60) {
-      g_case_slot_used = false;
-    } else {
-      ::operator delete(p);
-    }
-  }
 };
-static_assert(sizeof(RewriteCase) <= sizeof g_case_slot - 0x60);
+
+// ctest lists each case under gtest's printout of its parameter.
+void PrintTo(const RewriteCase& c, std::ostream* os) {
+  *os << c.workload << " " << c.nin << "/" << c.nout << " ninstr " << c.ninstr
+      << (c.rom ? " rom" : "");
+}
 
 class RewriteEndToEnd : public ::testing::TestWithParam<RewriteCase> {};
 

@@ -141,6 +141,40 @@ TEST(CancellationPurity, MidSearchTripLeavesTheSharedCacheUntouchedAcrossThreadC
   }
 }
 
+TEST(CancellationPurity, DonatingSplitTripLeavesTheSharedCacheUntouched) {
+  // One block whose first search holds 334,641 cuts at 2-in/4-out. Split
+  // at depth 1 it queues at most two eager tasks, so by the 60,000th poll
+  // one of them has passed the 16,384-cut donation quantum and donated.
+  // The trip then stops every task mid-walk: the run must not hang on the
+  // task queue, must come back partial, and must store nothing.
+  RandomDagConfig cfg;
+  cfg.num_ops = 40;
+  cfg.num_inputs = 8;
+  cfg.avg_fanin = 1.9;
+  cfg.forbidden_fraction = 0.1;
+  cfg.seed = 40003;
+  const std::vector<Dfg> blocks = {random_dag(cfg)};
+  ExplorationRequest request = blocks_request(1, 1);
+  request.constraints = cons(2, 4);
+  for (const int threads : {1, 2, 8}) {
+    auto cache = std::make_shared<ResultCache>();
+    const Explorer explorer(kLat, cache);
+    const std::string never_run = cache->to_json().dump();
+
+    CancelToken token;
+    token.trip_after_polls(60000);
+    RunHooks hooks;
+    hooks.cancel = &token;
+    request.num_threads = threads;
+    const ExplorationReport report = explorer.run_blocks(blocks, request, hooks);
+
+    EXPECT_TRUE(report.partial) << threads;
+    EXPECT_EQ(report.partial_reason, "trip_after") << threads;
+    EXPECT_GT(report.engine.subtree_tasks, 2u) << threads;  // some were donated
+    EXPECT_EQ(cache->to_json().dump(), never_run) << threads;
+  }
+}
+
 TEST(CancellationPurity, OptimalMidSearchTripLeavesTheSharedCacheUntouched) {
   // Every multi-cut search of these blocks polls more than five times, so
   // the fifth poll — whichever search makes it, on any thread count — trips

@@ -3,7 +3,8 @@
 // random DAGs under random constraints, find_best_cut / find_best_cuts must
 // return BYTE-identical results — cut bits, bitwise-equal merits, every metrics
 // field and every statistics counter — serially and across subtree-split
-// depths and thread counts.
+// depths and thread counts, including on blocks large enough that subtree
+// tasks donate work (SubtreeDonation).
 #include <gtest/gtest.h>
 
 #include "core/multi_cut.hpp"
@@ -141,6 +142,79 @@ TEST(EngineProperty, LargeBlockSplitByteIdenticalToSerial) {
       find_best_cut(g, kLat, c, CutSearchOptions{&pool, 8, &stats});
   expect_same_single(split, serial, "split vs serial");
   EXPECT_GT(stats.subtree_tasks.load(), 1u);
+}
+
+/// A block and a constraint set on which the donation quantum fires.
+struct DonationCase {
+  std::string label;
+  Dfg graph;
+  Constraints cons;
+};
+
+/// Pruning and permanent-input pruning each on and off: a 40-op block at a
+/// tight 2-in/4-out window (334,641 cuts pruned, 238,059 with permanent
+/// inputs pruned too) and an 18-candidate block with pruning off (2^18 - 1
+/// cuts, 239,103 with permanent inputs pruned).
+std::vector<DonationCase> donation_cases() {
+  const auto block = [](int num_ops, std::uint64_t seed) {
+    RandomDagConfig cfg;
+    cfg.num_ops = num_ops;
+    cfg.num_inputs = 8;
+    cfg.avg_fanin = 1.9;
+    cfg.forbidden_fraction = 0.1;
+    cfg.seed = seed;
+    return random_dag(cfg);
+  };
+  std::vector<DonationCase> cases;
+  for (const bool pruning : {true, false}) {
+    for (const bool permanent : {false, true}) {
+      Constraints c;
+      c.max_inputs = pruning ? 2 : 4;
+      c.max_outputs = pruning ? 4 : 2;
+      c.enable_pruning = pruning;
+      c.prune_permanent_inputs = permanent;
+      cases.push_back({std::string(pruning ? "pruned" : "unpruned") +
+                           (permanent ? "+permanent" : ""),
+                       pruning ? block(40, 40003) : block(20, 20002), c});
+    }
+  }
+  return cases;
+}
+
+TEST(SubtreeDonation, ByteIdenticalToSerialAndReferenceWithOneTaskSetPerDepth) {
+  for (const DonationCase& dc : donation_cases()) {
+    const SingleCutResult ref = find_best_cut_reference(dc.graph, kLat, dc.cons);
+    const SingleCutResult serial = find_best_cut(dc.graph, kLat, dc.cons);
+    expect_same_single(serial, ref, dc.label + " serial vs reference");
+    for (const int depth : {1, 3, 10}) {
+      std::uint64_t tasks = 0;
+      std::uint64_t donated = 0;
+      for (const int threads : {1, 2, 8}) {
+        ThreadPool pool(threads);
+        SearchEngineStats stats;
+        const std::string label = dc.label + " depth " + std::to_string(depth) +
+                                  " threads " + std::to_string(threads);
+        expect_same_single(
+            find_best_cut(dc.graph, kLat, dc.cons, CutSearchOptions{&pool, depth, &stats}),
+            serial, label);
+        EXPECT_EQ(stats.split_searches.load(), 1u) << label;
+        if (threads == 1) {
+          tasks = stats.subtree_tasks.load();
+          donated = stats.donated_tasks.load();
+        }
+        // Donation reads only each task's own cut count: one task set for
+        // every thread count.
+        EXPECT_EQ(stats.subtree_tasks.load(), tasks) << label;
+        EXPECT_EQ(stats.donated_tasks.load(), donated) << label;
+      }
+      // The quantum fires, so there are more tasks than the eager split
+      // queued. The one exception: at depth 10 every eager task of the
+      // unpruned tree holds 2^8 - 1 cuts, below the quantum.
+      if (dc.cons.enable_pruning || depth < 10) {
+        EXPECT_GT(donated, 0u) << dc.label << " depth " << depth;
+      }
+    }
+  }
 }
 
 TEST(EngineProperty, DynamicWordWidthPathByteIdenticalToReference) {

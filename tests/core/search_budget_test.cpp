@@ -182,6 +182,35 @@ TEST(SearchBudget, ExternalGateIsExactUnderSubtreeParallelism) {
     EXPECT_EQ(split.stats.cuts_considered, budget) << threads << " threads";
     EXPECT_EQ(gate.consumed(), budget) << threads << " threads";
   }
+
+  // A block whose tasks donate work before the gate runs dry. Depth 1
+  // queues at most two eager tasks, and a budget of three donation quanta
+  // (16,384 cuts each) or more lets one of them reach a donation on any
+  // schedule.
+  RandomDagConfig cfg;
+  cfg.num_ops = 40;
+  cfg.num_inputs = 8;
+  cfg.avg_fanin = 1.9;
+  cfg.forbidden_fraction = 0.1;
+  cfg.seed = 40003;
+  const Dfg big = random_dag(cfg);
+  Constraints tight = budgeted(0);
+  tight.max_inputs = 2;
+  tight.max_outputs = 4;
+  const std::uint64_t big_demand = find_best_cut(big, kLat, tight).stats.cuts_considered;
+  const std::uint64_t big_budget = big_demand / 2;
+  ASSERT_GT(big_budget, 3u * 16384);
+  for (const int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    BudgetGate gate(big_budget);
+    SearchEngineStats stats;
+    const SingleCutResult split =
+        find_best_cut(big, kLat, tight, CutSearchOptions{&pool, 1, &stats, &gate});
+    EXPECT_GT(stats.donated_tasks.load(), 0u) << threads << " threads";
+    EXPECT_TRUE(split.stats.budget_exhausted) << threads << " threads";
+    EXPECT_EQ(split.stats.cuts_considered, big_budget) << threads << " threads";
+    EXPECT_EQ(gate.consumed(), big_budget) << threads << " threads";
+  }
 }
 
 TEST(SearchBudget, RoomyBudgetLeavesEverythingByteIdentical) {
