@@ -62,6 +62,19 @@ ExplorationRequest quickstart_request() {
   return request;
 }
 
+/// The smoke's dedup pair. Neither the demo (quickstart_request() and the
+/// adpcm+sha1 portfolio) nor the other smoke clients warm it, so on a
+/// daemon that ran the demo the pair's first job still searches cold for
+/// tens of milliseconds, and the pipelined second frame is admitted while
+/// it is in flight. A warm request could finish before that frame arrives.
+ExplorationRequest dedup_pair_request() {
+  ExplorationRequest request = quickstart_request();
+  request.workload = "idct";
+  request.constraints.max_inputs = 6;
+  request.constraints.max_outputs = 3;
+  return request;
+}
+
 MultiExplorationRequest portfolio_request() {
   MultiExplorationRequest request;
   request.workloads.resize(2);
@@ -144,7 +157,7 @@ SmokeOutcome smoke_run(const std::string& socket_path, const ExplorationRequest&
 
 int run_smoke(const std::string& socket_path) {
   // Client 0/1 share one request (the dedup pair); 2 and 3 are distinct.
-  ExplorationRequest shared = quickstart_request();
+  ExplorationRequest shared = dedup_pair_request();
   ExplorationRequest third = quickstart_request();
   third.workload = "sha1";
   ExplorationRequest fourth = quickstart_request();

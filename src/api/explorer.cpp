@@ -45,21 +45,6 @@ struct Application {
 /// The phase-event payloads keep each kind's shape.
 enum class ReportKind { exploration, portfolio };
 
-/// The knobs of one run, borrowed from the request it came from.
-struct RunKnobs {
-  ReportKind kind;
-  const std::string& scheme;
-  const Constraints& constraints;
-  int num_instructions;
-  AreaSelectOptions area;
-  int num_threads;
-  int subtree_split_depth;
-  bool use_cache;
-  std::uint64_t deadline_ms;
-  const EmissionOptions& emission;
-  const std::string& name_prefix;
-};
-
 /// A pipeline run before projection: the portfolio-shaped report, plus the
 /// AFUs an exploration report lists (one per selected cut, empty unless
 /// emission built them).
@@ -135,15 +120,17 @@ void notify(const RunHooks& hooks, const char* phase, Json data) {
 }
 
 /// The exploration pipeline: profile and extract every application,
-/// identify and select under the shared budgets, then build AFUs,
-/// rewrite-verify and emit.
+/// identify and select with `scheme_name` under the shared budgets, then
+/// build AFUs, rewrite-verify and emit.
 PipelineRun run_applications(const Explorer& explorer, std::span<const Application> apps,
-                         const RunKnobs& knobs, const RunHooks& hooks) {
+                             ReportKind kind, const std::string& scheme_name,
+                             const RunOptions& run, const AreaSelectOptions& area,
+                             const RunHooks& hooks) {
   const auto t_start = Clock::now();
-  const bool exploration = knobs.kind == ReportKind::exploration;
-  const SelectionScheme& scheme = explorer.registry().get(knobs.scheme);
+  const bool exploration = kind == ReportKind::exploration;
+  const SelectionScheme& scheme = explorer.registry().get(scheme_name);
   if (!scheme.supports_portfolio() && apps.size() > 1) {
-    throw Error("scheme '" + knobs.scheme +
+    throw Error("scheme '" + scheme_name +
                 "' selects for a single application but the request carries " +
                 std::to_string(apps.size()) + " workloads (portfolio-capable: " +
                 join_names(explorer.registry().portfolio_names()) + ")");
@@ -151,7 +138,7 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
 
   // Reject contradictory or no-op emission requests before any work runs
   // (e.g. a Verilog target on a graph-only application).
-  const EmissionOptions& emission = knobs.emission;
+  const EmissionOptions& emission = run.emission;
   bool have_modules = true;
   for (const Application& app : apps) have_modules = have_modules && app.workload != nullptr;
   if (emission.active()) {
@@ -173,11 +160,11 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
   CacheCounters local;
   PipelineRun out;
   PortfolioReport& report = out.report;
-  report.scheme = knobs.scheme;
-  report.constraints = knobs.constraints;
-  report.num_instructions = knobs.num_instructions;
-  report.max_area_macs = knobs.area.max_area_macs;
-  report.cache.enabled = knobs.use_cache;
+  report.scheme = scheme_name;
+  report.constraints = run.constraints;
+  report.num_instructions = run.num_instructions;
+  report.max_area_macs = area.max_area_macs;
+  report.cache.enabled = run.use_cache;
 
   // One cancel token for the whole run: the caller's (the service arms the
   // job's token from the frame's deadline and lets the watchdog trip it), or
@@ -185,8 +172,8 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
   // asks for cancellation — the default path carries no token at all.
   CancelToken deadline_token;
   CancelToken* cancel = hooks.cancel;
-  if (cancel == nullptr && knobs.deadline_ms > 0) {
-    deadline_token.arm_deadline_ms(knobs.deadline_ms);
+  if (cancel == nullptr && run.deadline_ms > 0) {
+    deadline_token.arm_deadline_ms(run.deadline_ms);
     cancel = &deadline_token;
   }
 
@@ -205,7 +192,7 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
       // already-mutated instance must never feed it either (its graphs no
       // longer describe the pristine kernel of that name).
       const bool use_dfg_cache =
-          knobs.use_cache && !emission.verify_rewrites && !app.workload->mutated();
+          run.use_cache && !emission.verify_rewrites && !app.workload->mutated();
       extracted[i] = extract_workload(explorer.cache(), *app.workload, app.dfg_options,
                                       use_dfg_cache, need_module, &local);
       bundle.blocks = *extracted[i].graphs;
@@ -247,21 +234,21 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
   const auto t_identify = Clock::now();
   std::unique_ptr<ThreadPool> pool;
   Executor* executor = &serial_executor();
-  if (knobs.num_threads != 1) {
-    pool = std::make_unique<ThreadPool>(knobs.num_threads);
+  if (run.num_threads != 1) {
+    pool = std::make_unique<ThreadPool>(run.num_threads);
     executor = pool.get();
   }
   report.num_threads = executor->num_threads();
   SearchEngineStats engine_stats;
   SchemeInputs inputs{bundles,
                       explorer.latency(),
-                      knobs.constraints,
-                      knobs.num_instructions,
-                      knobs.area,
+                      run.constraints,
+                      run.num_instructions,
+                      area,
                       executor,
-                      knobs.use_cache ? &explorer.cache() : nullptr,
+                      run.use_cache ? &explorer.cache() : nullptr,
                       &local,
-                      knobs.subtree_split_depth,
+                      run.subtree_split_depth,
                       &engine_stats,
                       hooks.budget_gate,
                       cancel};
@@ -274,7 +261,7 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
     report.partial_reason = cancel->reason();
   }
   report.timings.identify_ms = ms_since(t_identify);
-  report.engine.subtree_split_depth = knobs.subtree_split_depth;
+  report.engine.subtree_split_depth = run.subtree_split_depth;
   report.engine.subtree_tasks = engine_stats.subtree_tasks.load();
   report.engine.split_searches = engine_stats.split_searches.load();
   report.engine.serial_searches = engine_stats.serial_searches.load();
@@ -361,7 +348,7 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
         const PortfolioSelectedCut& sc = selection.cuts[j];
         Workload& origin = *apps[static_cast<std::size_t>(sc.origin.bundle_index)].workload;
         ops.push_back(build_afu(origin.module(), origin.entry(), block_of(sc.origin), sc.cut,
-                                explorer.latency(), knobs.name_prefix + std::to_string(j))
+                                explorer.latency(), run.name_prefix + std::to_string(j))
                           .op);
       }
     }
@@ -376,11 +363,11 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
         std::vector<std::string> names;
         names.reserve(instruction_indices.size());
         for (const int j : instruction_indices) {
-          names.push_back(knobs.name_prefix + std::to_string(j));
+          names.push_back(run.name_prefix + std::to_string(j));
         }
         Workload& workload = *apps[i].workload;
         const RewriteVerification rv = rewrite_and_verify(
-            workload, bundles[i].blocks, sel, explorer.latency(), knobs.name_prefix, names);
+            workload, bundles[i].blocks, sel, explorer.latency(), run.name_prefix, names);
         fill_validation(bundles[i].base_cycles, rv, report.workloads[i].validation);
         if (afus_from_rewrite) {
           for (const int index : rv.custom_op_indices) {
@@ -395,7 +382,7 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
         modules.push_back(app.workload != nullptr ? &app.workload->module() : nullptr);
       }
       const EmissionPlan plan = plan_from_portfolio(bundles, modules, selection, ops,
-                                                    report.scheme, knobs.name_prefix);
+                                                    report.scheme, run.name_prefix);
       const std::vector<EmittedArtifact> artifacts =
           run_emitters(explorer.emitters(), emission.targets, plan);
       if (!emission.out_dir.empty()) write_artifacts(artifacts, emission.out_dir);
@@ -414,13 +401,9 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
 /// ExplorationReport.
 ExplorationReport explore_one(const Explorer& explorer, const Application& app,
                           const ExplorationRequest& request, const RunHooks& hooks) {
-  const RunKnobs knobs{ReportKind::exploration,     request.scheme,
-                       request.constraints,         request.num_instructions,
-                       request.area,                request.num_threads,
-                       request.subtree_split_depth, request.use_cache,
-                       request.deadline_ms,         request.emission,
-                       request.name_prefix};
-  PipelineRun run = run_applications(explorer, std::span<const Application>(&app, 1), knobs, hooks);
+  PipelineRun run = run_applications(explorer, std::span<const Application>(&app, 1),
+                                     ReportKind::exploration, request.scheme, request,
+                                     request.area, hooks);
   PortfolioReport& p = run.report;
   PortfolioWorkloadReport& w = p.workloads[0];
 
@@ -471,19 +454,14 @@ Explorer::Explorer(LatencyModel latency, std::shared_ptr<ResultCache> cache,
 
 SingleCutResult Explorer::identify(const Dfg& block, const Constraints& constraints,
                                    bool use_cache) const {
-  return cached_single_cut(use_cache ? cache_.get() : nullptr, block, latency_, constraints);
-}
-
-SingleCutResult Explorer::identify(const Dfg& block, const Constraints& constraints,
-                                   const CutSearchOptions& search, bool use_cache) const {
-  return cached_single_cut(use_cache ? cache_.get() : nullptr, block, latency_, constraints,
-                           nullptr, search);
+  return cached_single_cut(block, latency_, constraints,
+                           {.cache = use_cache ? cache_.get() : nullptr});
 }
 
 MultiCutResult Explorer::identify_multi(const Dfg& block, const Constraints& constraints,
                                         int num_cuts, bool use_cache) const {
-  return cached_multi_cut(use_cache ? cache_.get() : nullptr, block, latency_, constraints,
-                          num_cuts);
+  return cached_multi_cut(block, latency_, constraints, num_cuts,
+                          {.cache = use_cache ? cache_.get() : nullptr});
 }
 
 ExplorationReport Explorer::run(const ExplorationRequest& request,
@@ -544,13 +522,9 @@ PortfolioReport Explorer::run_portfolio(const MultiExplorationRequest& request,
   area.max_area_macs = request.max_area_macs;
   area.num_instructions = request.num_instructions;
   area.area_grid_macs = request.area_grid_macs;
-  const RunKnobs knobs{ReportKind::portfolio,       request.scheme,
-                       request.constraints,         request.num_instructions,
-                       area,                        request.num_threads,
-                       request.subtree_split_depth, request.use_cache,
-                       request.deadline_ms,         request.emission,
-                       request.name_prefix};
-  return std::move(run_applications(*this, apps, knobs, hooks).report);
+  return std::move(
+      run_applications(*this, apps, ReportKind::portfolio, request.scheme, request, area, hooks)
+          .report);
 }
 
 }  // namespace isex

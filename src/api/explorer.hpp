@@ -38,7 +38,9 @@
 
 namespace isex {
 
-struct ExplorationRequest {
+/// A single-application exploration request; the run fields it shares with
+/// MultiExplorationRequest live in RunOptions.
+struct ExplorationRequest : RunOptions {
   /// Workload registry name (see workload_names()); leave empty to explore
   /// the user-provided `graphs` instead.
   std::string workload;
@@ -55,51 +57,11 @@ struct ExplorationRequest {
   /// Selection scheme name resolved against the registry ("iterative",
   /// "optimal", "optimal-dp", "clubbing", "maxmiso", "area", or user-added).
   std::string scheme = "iterative";
-  Constraints constraints;
-  /// Ninstr: maximum number of special instructions.
-  int num_instructions = 16;
   /// Silicon budget options for the "area" scheme (its instruction cap is
   /// taken from num_instructions).
   AreaSelectOptions area;
   /// DFG extraction options (e.g. admit ROM-hinted loads, Section 9).
   DfgOptions dfg_options;
-
-  /// Threads for per-block identification: 1 = serial (default),
-  /// 0 = hardware concurrency. Results are identical for any value.
-  int num_threads = 1;
-
-  /// Split each block's enumeration tree at this candidate-decision depth
-  /// into independent subtree tasks on the identification thread pool
-  /// (0 = off; running tasks donate work, so a small depth is enough).
-  /// Results are byte-identical for any value and thread count;
-  /// branch-and-bound searches stay serial (see CutSearchOptions). Pays off on large single-block kernels — and in the
-  /// iterative scheme's later rounds, where only one collapsed block
-  /// re-identifies and per-block parallelism has nothing left to do.
-  /// report.engine records what the runner did.
-  int subtree_split_depth = 0;
-
-  /// Route this request through the Explorer's ResultCache (identification
-  /// memo + DFG-extraction cache). Results are byte-identical either way;
-  /// opt out to benchmark cold searches or to explore graphs the cache
-  /// should not retain. report.cache records what the cache did.
-  bool use_cache = true;
-
-  /// Wall-clock deadline for the whole run in milliseconds (0 = none).
-  /// When it expires mid-run the identification searches stop at their next
-  /// poll, the report returns the best-so-far selection flagged
-  /// `partial: true` with partial_reason "deadline_exceeded", artifact
-  /// emission is skipped, and nothing partial is stored in the shared
-  /// ResultCache. Ignored when the caller supplies RunHooks::cancel (the
-  /// service arms the job's own token from the frame's deadline instead).
-  std::uint64_t deadline_ms = 0;
-
-  /// Artifact emission and rewrite verification, resolved against the
-  /// Explorer's EmitterRegistry (targets "verilog", "c-intrinsics", "dot",
-  /// "manifest", ...). Contradictory or no-op combinations are rejected with
-  /// a structured EmissionOptionsError before any work runs.
-  EmissionOptions emission;
-  /// Name prefix for synthesized custom ops.
-  std::string name_prefix = "isex";
 
   /// The emission options this request asks for — `emission` itself.
   EmissionOptions effective_emission() const { return emission; }
@@ -207,10 +169,6 @@ class Explorer {
   /// way — a hit replays the cold search byte-for-byte).
   SingleCutResult identify(const Dfg& block, const Constraints& constraints,
                            bool use_cache = true) const;
-  /// As identify(), steering the engine with subtree-parallel search
-  /// options (byte-identical result for any options).
-  SingleCutResult identify(const Dfg& block, const Constraints& constraints,
-                           const CutSearchOptions& search, bool use_cache = true) const;
   /// Best set of up to `num_cuts` disjoint cuts of one block (memoized like
   /// identify()).
   MultiCutResult identify_multi(const Dfg& block, const Constraints& constraints,

@@ -44,51 +44,75 @@ struct PortfolioWorkloadRequest {
   DfgOptions dfg_options;
 };
 
+/// The run fields both request kinds carry (ExplorationRequest and
+/// MultiExplorationRequest derive from it); the Explorer runs either kind
+/// from these plus the request's scheme and area budget.
+struct RunOptions {
+  /// Nin/Nout and the search toggles, shared by every identification.
+  Constraints constraints;
+  /// Ninstr: maximum number of special instructions (for a portfolio, the
+  /// *joint* opcode budget shared by every application).
+  int num_instructions = 16;
+
+  /// Threads for per-block identification: 1 = serial (default),
+  /// 0 = hardware concurrency. Results are identical for any value.
+  int num_threads = 1;
+
+  /// Split each block's enumeration tree at this candidate-decision depth
+  /// into independent subtree tasks on the identification thread pool
+  /// (0 = off; running tasks donate work, so a small depth is enough).
+  /// Results are byte-identical for any value and thread count;
+  /// branch-and-bound searches stay serial (see CutSearchOptions). Pays off
+  /// on large single-block kernels — and in the iterative scheme's later
+  /// rounds, where only one collapsed block re-identifies and per-block
+  /// parallelism has nothing left to do. report.engine records what the
+  /// runner did.
+  int subtree_split_depth = 0;
+
+  /// Route this request through the Explorer's ResultCache (identification
+  /// memo + DFG-extraction cache). Results are byte-identical either way;
+  /// opt out to benchmark cold searches or to explore graphs the cache
+  /// should not retain. Identical kernels appearing in several applications
+  /// of a portfolio are identified once and surfaced as cross-workload hits.
+  /// report.cache records what the cache did.
+  bool use_cache = true;
+
+  /// Wall-clock deadline for the whole run in milliseconds (0 = none).
+  /// When it expires mid-run the identification searches stop at their next
+  /// poll, the report returns the best-so-far selection flagged
+  /// `partial: true` with partial_reason "deadline_exceeded", artifact
+  /// emission is skipped, and nothing partial is stored in the shared
+  /// ResultCache. Ignored when the caller supplies RunHooks::cancel (the
+  /// service arms the job's own token from the frame's deadline instead).
+  std::uint64_t deadline_ms = 0;
+
+  /// Artifact emission and rewrite verification, resolved against the
+  /// Explorer's EmitterRegistry (targets "verilog", "c-intrinsics", "dot",
+  /// "manifest", ...). Contradictory or no-op combinations are rejected with
+  /// a structured EmissionOptionsError before any work runs. In a portfolio,
+  /// module-consuming targets require every application to be a registry
+  /// workload (graph-only entries can only feed graph-level emitters).
+  EmissionOptions emission;
+  /// Name prefix for the synthesized instructions (isex0, isex1, ...).
+  std::string name_prefix = "isex";
+};
+
 /// A batched exploration request: N weighted workloads, one shared
 /// constraint set, one shared opcode budget (and optionally one shared AFU
 /// area budget) — the instruction set that comes out serves them all.
-struct MultiExplorationRequest {
+struct MultiExplorationRequest : RunOptions {
   std::vector<PortfolioWorkloadRequest> workloads;
 
   /// Portfolio-capable scheme name ("joint-iterative", "merge-then-select",
   /// or user-added); single-application schemes are accepted only for
   /// portfolios of exactly one workload.
   std::string scheme = "joint-iterative";
-  Constraints constraints;
-  /// Ninstr: the *joint* opcode budget shared by every application.
-  int num_instructions = 16;
   /// Joint AFU silicon budget in MAC equivalents; <= 0 means unlimited.
   /// Honoured by merge-then-select (knapsack); joint-iterative applies the
   /// opcode budget only.
   double max_area_macs = 0.0;
   /// Knapsack area resolution when `max_area_macs` is set.
   double area_grid_macs = 0.002;
-
-  /// Threads for per-block identification: 1 = serial (default),
-  /// 0 = hardware concurrency. Results are identical for any value.
-  int num_threads = 1;
-  /// Subtree-parallel search depth within each identification (0 = off;
-  /// see ExplorationRequest::subtree_split_depth — same semantics, same
-  /// byte-identical guarantee). report.engine records what the runner did.
-  int subtree_split_depth = 0;
-  /// Route the request through the Explorer's ResultCache. Identical
-  /// kernels appearing in several applications are then identified once and
-  /// surfaced as cross-workload hits in the report.
-  bool use_cache = true;
-
-  /// Wall-clock deadline for the whole run in milliseconds (0 = none); same
-  /// semantics as ExplorationRequest::deadline_ms — a best-so-far report
-  /// flagged `partial: true`, no emission, no cache poisoning.
-  std::uint64_t deadline_ms = 0;
-
-  /// Artifact emission: one Verilog AFU per selected instruction plus
-  /// per-application wrappers/intrinsics, with optional rewrite-verify of
-  /// every bundled workload. Module-consuming targets require every
-  /// application to be a registry workload (graph-only entries can only
-  /// feed graph-level emitters).
-  EmissionOptions emission;
-  /// Name prefix for the synthesized instructions (isex0, isex1, ...).
-  std::string name_prefix = "isex";
 };
 
 /// Per-application outcome within a portfolio run.

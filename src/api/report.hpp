@@ -86,7 +86,7 @@ struct CacheReport {
 };
 
 /// What the identification engine's subtree-parallel runner did for this
-/// run (see ExplorationRequest::subtree_split_depth). Serialized only when
+/// run (see RunOptions::subtree_split_depth). Serialized only when
 /// subtree parallelism was requested — default-request reports are
 /// unchanged on disk, and cache-warm runs (which skip the searches) stay
 /// byte-comparable to cold ones.

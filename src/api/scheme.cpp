@@ -68,24 +68,21 @@ void register_builtin_schemes(SchemeRegistry& registry) {
   registry.add(std::make_unique<SingleWorkloadScheme>(
       "iterative", "single-cut identification + collapse (paper Section 6.3)",
       [](const SchemeInputs& in) {
-        return select_iterative(in.bundles[0].blocks, in.latency,
-                                in.constraints, in.num_instructions, in.executor, in.cache,
-                                in.cache_counters, in.search_options());
+        return select_iterative(in.bundles[0].blocks, in.latency, in.constraints,
+                                in.num_instructions, in.search_options());
       }));
   registry.add(std::make_unique<SingleWorkloadScheme>(
       "optimal", "greedy best(b, m) increments over multiple-cut tables (Section 6.2)",
       [](const SchemeInputs& in) {
-        return select_optimal(in.bundles[0].blocks, in.latency,
-                              in.constraints, in.num_instructions,
-                              OptimalMode::greedy_increments, in.executor, in.cache,
-                              in.cache_counters, in.search_options());
+        return select_optimal(in.bundles[0].blocks, in.latency, in.constraints,
+                              in.num_instructions, OptimalMode::greedy_increments,
+                              in.search_options());
       }));
   registry.add(std::make_unique<SingleWorkloadScheme>(
       "optimal-dp", "exact DP allocation over the best(b, m) tables",
       [](const SchemeInputs& in) {
-        return select_optimal(in.bundles[0].blocks, in.latency,
-                              in.constraints, in.num_instructions, OptimalMode::exact_dp,
-                              in.executor, in.cache, in.cache_counters,
+        return select_optimal(in.bundles[0].blocks, in.latency, in.constraints,
+                              in.num_instructions, OptimalMode::exact_dp,
                               in.search_options());
       }));
   registry.add(std::make_unique<SingleWorkloadScheme>(
@@ -107,9 +104,8 @@ void register_builtin_schemes(SchemeRegistry& registry) {
       [](const SchemeInputs& in) {
         AreaSelectOptions options = in.area;
         options.num_instructions = in.num_instructions;
-        return select_area_constrained(in.bundles[0].blocks, in.latency,
-                                       in.constraints, options, in.executor, in.cache,
-                                       in.cache_counters, in.search_options());
+        return select_area_constrained(in.bundles[0].blocks, in.latency, in.constraints,
+                                       options, in.search_options());
       }));
   registry.add(std::make_unique<PortfolioScheme>(
       "joint-iterative",
@@ -117,8 +113,7 @@ void register_builtin_schemes(SchemeRegistry& registry) {
       "opcode budget, with fingerprint-grouped shared kernels",
       [](const SchemeInputs& in) {
         return select_portfolio_iterative(in.bundles, in.latency, in.constraints,
-                                          in.num_instructions, in.executor, in.cache,
-                                          in.cache_counters, in.search_options());
+                                          in.num_instructions, in.search_options());
       }));
   registry.add(std::make_unique<PortfolioScheme>(
       "merge-then-select",
@@ -127,8 +122,7 @@ void register_builtin_schemes(SchemeRegistry& registry) {
       [](const SchemeInputs& in) {
         return select_portfolio_merge(in.bundles, in.latency, in.constraints,
                                       in.num_instructions, in.area.max_area_macs,
-                                      in.area.area_grid_macs, in.executor, in.cache,
-                                      in.cache_counters, in.search_options());
+                                      in.area.area_grid_macs, in.search_options());
       }));
 }
 

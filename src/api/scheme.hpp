@@ -26,13 +26,14 @@
 
 namespace isex {
 
-class ResultCache;
-struct CacheCounters;
-
 /// Everything a scheme may consume. Schemes must be pure functions of these
 /// inputs (no hidden state): the Explorer relies on that for determinism
 /// across thread counts, and the memoization layer relies on it for
 /// correctness of cached identification results.
+///
+/// The members from `executor` on are the run context; schemes built on
+/// identification pass search_options() whole rather than reading them one
+/// by one.
 struct SchemeInputs {
   /// One bundle per application. Single-workload requests arrive as a
   /// portfolio of one bundle with weight 1.
@@ -46,43 +47,30 @@ struct SchemeInputs {
   /// portfolio schemes `area.max_area_macs <= 0` means "no joint area
   /// budget"; the single-workload "area" scheme keeps its own semantics.
   AreaSelectOptions area;
-  /// Never null; per-block identification should run through it.
+  /// Never null; per-block work runs on it.
   Executor* executor = nullptr;
-  /// Identification memo table; null when the request opted out. Schemes
-  /// route their find_best_cut(s) calls through cached_single_cut /
-  /// cached_multi_cut so hits skip the enumeration.
+  /// Identification memo table; null when the request opted out.
   ResultCache* cache = nullptr;
-  /// Per-request counter sink accompanying `cache` (may be null): passed to
-  /// the cached_* helpers so the report attributes this request's hits and
-  /// misses even when other requests share the cache concurrently.
-  /// Portfolio schemes fan it out into per-bundle scoped sinks so
-  /// cross-workload sharing is counted.
+  /// Per-request memo counter sink (may be null). Portfolio schemes fan it
+  /// out into per-bundle scoped sinks so cross-workload sharing is counted.
   CacheCounters* cache_counters = nullptr;
-  /// Candidate-decision depth for subtree-parallel single-cut searches
-  /// (0 = serial; see CutSearchOptions::split_depth). Result-identical for
-  /// any value; honoured by the schemes built on single-cut identification
-  /// (iterative, area, joint-iterative, merge-then-select).
+  /// Subtree split depth of single-cut searches (0 = serial).
   int subtree_split_depth = 0;
   /// Per-request engine counter sink (may be null), surfaced as the
   /// report's "engine" section.
   SearchEngineStats* engine_stats = nullptr;
-  /// Shared per-request search-budget gate (may be null). When set, every
-  /// single-cut identification of this request draws on one ticket pool
-  /// instead of a fresh per-search budget — the exploration service's
-  /// per-client budget enforcement (see CutSearchOptions::budget). Schemes
-  /// need no special handling: the gate rides search_options().
+  /// Shared per-request search-budget gate (may be null): the exploration
+  /// service's per-client budget.
   BudgetGate* budget_gate = nullptr;
-  /// Shared per-request cancel token (may be null). When set, every
-  /// identification of this request polls it at the budget gate's cadence;
-  /// a tripped token makes searches return best-so-far results flagged
-  /// stats.cancelled, which the memo layer refuses to store. Like the gate,
-  /// it rides search_options() — schemes need no special handling.
+  /// Shared per-request cancel token (may be null).
   CancelToken* cancel = nullptr;
 
-  /// The CutSearchOptions this request asks schemes to search with.
+  /// The run context above as the CutSearchOptions every identification of
+  /// this request searches with (see CutSearchOptions for each field's
+  /// contract).
   CutSearchOptions search_options() const {
     return CutSearchOptions{executor, subtree_split_depth, engine_stats, budget_gate,
-                            cancel};
+                            cancel,   cache,               cache_counters};
   }
 
   /// The blocks of the portfolio's only bundle. Single-application schemes

@@ -106,8 +106,8 @@ void ResultCache::insert_memo(const MemoKey& key, MemoEntry entry, CacheCounters
 
 SingleCutResult ResultCache::single_cut(const Dfg& g, const LatencyModel& latency,
                                         const Constraints& constraints,
-                                        CacheCounters* local,
                                         const CutSearchOptions& search) {
+  CacheCounters* local = search.cache_counters;
   MemoKey key{dfg_fingerprint(g), latency_signature(latency), constraints, 0};
   if (std::optional<MemoEntry> hit = lookup_memo(key, local)) {
     ISEX_ASSERT(hit->single != nullptr, "memo entry kind mismatch");
@@ -135,8 +135,9 @@ SingleCutResult ResultCache::single_cut(const Dfg& g, const LatencyModel& latenc
 
 MultiCutResult ResultCache::multi_cut(const Dfg& g, const LatencyModel& latency,
                                       const Constraints& constraints, int num_cuts,
-                                      CacheCounters* local, const CutSearchOptions& search) {
+                                      const CutSearchOptions& search) {
   ISEX_CHECK(num_cuts >= 1, "multi-cut memo needs num_cuts >= 1");
+  CacheCounters* local = search.cache_counters;
   MemoKey key{dfg_fingerprint(g), latency_signature(latency), constraints, num_cuts};
   if (std::optional<MemoEntry> hit = lookup_memo(key, local)) {
     ISEX_ASSERT(hit->multi != nullptr, "memo entry kind mismatch");
@@ -321,18 +322,18 @@ bool ResultCache::load_file(const std::string& path) {
   return true;
 }
 
-SingleCutResult cached_single_cut(ResultCache* cache, const Dfg& g,
-                                  const LatencyModel& latency, const Constraints& constraints,
-                                  CacheCounters* local, const CutSearchOptions& search) {
-  if (cache == nullptr) return find_best_cut(g, latency, constraints, search);
-  return cache->single_cut(g, latency, constraints, local, search);
+SingleCutResult cached_single_cut(const Dfg& g, const LatencyModel& latency,
+                                  const Constraints& constraints,
+                                  const CutSearchOptions& search) {
+  if (search.cache == nullptr) return find_best_cut(g, latency, constraints, search);
+  return search.cache->single_cut(g, latency, constraints, search);
 }
 
-MultiCutResult cached_multi_cut(ResultCache* cache, const Dfg& g, const LatencyModel& latency,
+MultiCutResult cached_multi_cut(const Dfg& g, const LatencyModel& latency,
                                 const Constraints& constraints, int num_cuts,
-                                CacheCounters* local, const CutSearchOptions& search) {
-  if (cache == nullptr) return find_best_cuts(g, latency, constraints, num_cuts, search);
-  return cache->multi_cut(g, latency, constraints, num_cuts, local, search);
+                                const CutSearchOptions& search) {
+  if (search.cache == nullptr) return find_best_cuts(g, latency, constraints, num_cuts, search);
+  return search.cache->multi_cut(g, latency, constraints, num_cuts, search);
 }
 
 }  // namespace isex

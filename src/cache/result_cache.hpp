@@ -67,23 +67,22 @@ class ResultCache {
   // it to attribute per-request deltas even when several requests run
   // through one cache concurrently.
 
-  /// find_best_cut through the memo table. `search` steers the engine on a
-  /// miss (subtree-parallel options); because every engine is byte-identical
-  /// it never affects what a hit returns or what gets stored — with one
-  /// carve-out: a miss computed under a shared `search.budget` gate that
-  /// exhausted — or under a `search.cancel` token that tripped — is a
-  /// partial result the key cannot see, so it is returned to the caller but
-  /// never stored (hits stay free of budget charges either way — a warm
-  /// entry is the full enumeration's answer).
+  /// find_best_cut through the memo table, counting into
+  /// `search.cache_counters` (`search.cache` is not consulted: this cache
+  /// is). `search` steers the engine on a miss; because every engine is
+  /// byte-identical it never affects what a hit returns or what gets
+  /// stored — with one carve-out: a miss computed under a shared
+  /// `search.budget` gate that exhausted — or under a `search.cancel` token
+  /// that tripped — is a partial result the key cannot see, so it is
+  /// returned to the caller but never stored (hits stay free of budget
+  /// charges either way — a warm entry is the full enumeration's answer).
   SingleCutResult single_cut(const Dfg& g, const LatencyModel& latency,
-                             const Constraints& constraints, CacheCounters* local = nullptr,
+                             const Constraints& constraints,
                              const CutSearchOptions& search = {});
-  /// find_best_cuts through the memo table; `search` threads the shared
-  /// budget gate / cancel token with the same partial-result store refusal
-  /// as single_cut (the multi-cut engine ignores its parallelism knobs).
+  /// find_best_cuts through the memo table, with the same counting and
+  /// partial-result store refusal as single_cut.
   MultiCutResult multi_cut(const Dfg& g, const LatencyModel& latency,
                            const Constraints& constraints, int num_cuts,
-                           CacheCounters* local = nullptr,
                            const CutSearchOptions& search = {});
 
   // --- extraction cache ----------------------------------------------------
@@ -173,15 +172,14 @@ class ResultCache {
   CacheCounters counters_;
 };
 
-/// Convenience pass-throughs: with a null cache they run the plain search,
-/// so callers thread an optional cache without branching at every call site.
-SingleCutResult cached_single_cut(ResultCache* cache, const Dfg& g,
-                                  const LatencyModel& latency, const Constraints& constraints,
-                                  CacheCounters* local = nullptr,
+/// Identification through `search.cache`, or the plain search when it is
+/// null, so callers thread an optional cache without branching at every
+/// call site.
+SingleCutResult cached_single_cut(const Dfg& g, const LatencyModel& latency,
+                                  const Constraints& constraints,
                                   const CutSearchOptions& search = {});
-MultiCutResult cached_multi_cut(ResultCache* cache, const Dfg& g, const LatencyModel& latency,
+MultiCutResult cached_multi_cut(const Dfg& g, const LatencyModel& latency,
                                 const Constraints& constraints, int num_cuts,
-                                CacheCounters* local = nullptr,
                                 const CutSearchOptions& search = {});
 
 }  // namespace isex

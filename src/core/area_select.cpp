@@ -67,8 +67,6 @@ SelectionResult select_area_constrained(std::span<const Dfg> blocks,
                                         const LatencyModel& latency,
                                         const Constraints& constraints,
                                         const AreaSelectOptions& options,
-                                        Executor* executor, ResultCache* cache,
-                                        CacheCounters* cache_counters,
                                         const CutSearchOptions& search) {
   // Fail fast on malformed options (knapsack_select_indices re-checks, but
   // only after the expensive candidate generation below).
@@ -79,8 +77,7 @@ SelectionResult select_area_constrained(std::span<const Dfg> blocks,
   // Candidate pool: more slots than the final cap so the knapsack can trade
   // one large candidate for several small ones.
   SelectionResult pool =
-      select_iterative(blocks, latency, constraints, options.num_instructions * 2,
-                       executor, cache, cache_counters, search);
+      select_iterative(blocks, latency, constraints, options.num_instructions * 2, search);
 
   std::vector<double> values;
   std::vector<double> areas;

@@ -15,12 +15,8 @@
 #include "core/selection.hpp"
 #include "core/single_cut.hpp"
 #include "latency/latency_model.hpp"
-#include "support/parallel.hpp"
 
 namespace isex {
-
-class ResultCache;
-struct CacheCounters;
 
 struct AreaSelectOptions {
   double max_area_macs = 1.0;  // silicon budget in 32-bit MAC equivalents
@@ -29,13 +25,12 @@ struct AreaSelectOptions {
   double area_grid_macs = 0.002;
 };
 
+/// Generates the candidate pool with select_iterative under `search`, then
+/// runs the knapsack below.
 SelectionResult select_area_constrained(std::span<const Dfg> blocks,
                                         const LatencyModel& latency,
                                         const Constraints& constraints,
                                         const AreaSelectOptions& options,
-                                        Executor* executor = nullptr,
-                                        ResultCache* cache = nullptr,
-                                        CacheCounters* cache_counters = nullptr,
                                         const CutSearchOptions& search = {});
 
 /// The Section 9 selection core, exposed for every area-budgeted scheme

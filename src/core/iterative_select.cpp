@@ -4,37 +4,29 @@
 
 #include "cache/result_cache.hpp"
 #include "dfg/collapse.hpp"
+#include "support/parallel.hpp"
 
 namespace isex {
 
 namespace {
 
 struct BlockState {
-  Dfg current;                                   // graph with chosen cuts collapsed
-  std::vector<std::vector<std::size_t>> origin;  // current node -> original node ids
-  std::optional<SingleCutResult> cached;         // best cut on `current`
+  CollapsedBlock current;
+  std::optional<SingleCutResult> cached;  // best cut on current.graph()
 };
 
 }  // namespace
 
 SelectionResult select_iterative(std::span<const Dfg> blocks, const LatencyModel& latency,
                                  const Constraints& constraints, int num_instructions,
-                                 Executor* executor, ResultCache* cache,
-                                 CacheCounters* cache_counters,
                                  const CutSearchOptions& search) {
   ISEX_CHECK(num_instructions >= 1, "need at least one instruction slot");
-  if (executor == nullptr) executor = &serial_executor();
+  Executor& executor = search.executor != nullptr ? *search.executor : serial_executor();
   SelectionResult result;
 
   std::vector<BlockState> state;
   state.reserve(blocks.size());
-  for (const Dfg& g : blocks) {
-    BlockState s;
-    s.current = g;
-    s.origin.resize(g.num_nodes());
-    for (std::size_t i = 0; i < g.num_nodes(); ++i) s.origin[i] = {i};
-    state.push_back(std::move(s));
-  }
+  for (const Dfg& g : blocks) state.push_back({CollapsedBlock(g), std::nullopt});
 
   for (int round = 0; round < num_instructions; ++round) {
     // Identify on every block whose cache was invalidated (all blocks in
@@ -45,10 +37,9 @@ SelectionResult select_iterative(std::span<const Dfg> blocks, const LatencyModel
     for (std::size_t b = 0; b < state.size(); ++b) {
       if (!state[b].cached) pending.push_back(b);
     }
-    executor->parallel_for(pending.size(), [&](std::size_t i) {
+    executor.parallel_for(pending.size(), [&](std::size_t i) {
       BlockState& s = state[pending[i]];
-      s.cached =
-          cached_single_cut(cache, s.current, latency, constraints, cache_counters, search);
+      s.cached = cached_single_cut(s.current.graph(), latency, constraints, search);
     });
     for (const std::size_t b : pending) {
       ++result.identification_calls;
@@ -67,31 +58,16 @@ SelectionResult select_iterative(std::span<const Dfg> blocks, const LatencyModel
 
     BlockState& s = state[static_cast<std::size_t>(best_block)];
     const SingleCutResult& found = *s.cached;
-
-    // Map the cut back to the original graph's node ids.
     SelectedCut chosen;
     chosen.block_index = best_block;
-    chosen.cut = BitVector(blocks[static_cast<std::size_t>(best_block)].num_nodes());
-    found.cut.for_each([&](std::size_t i) {
-      for (std::size_t orig : s.origin[i]) chosen.cut.set(orig);
-    });
+    chosen.cut = s.current.to_original(found.cut);
     chosen.merit = found.merit;
     chosen.metrics = found.metrics;
     result.total_merit += found.merit;
     result.cuts.push_back(std::move(chosen));
 
     // Collapse the accepted cut; later identification sees it as opaque.
-    const CollapseResult collapsed =
-        collapse(s.current, found.cut, "isex" + std::to_string(round));
-    std::vector<std::vector<std::size_t>> new_origin(collapsed.graph.num_nodes());
-    for (std::size_t i = 0; i < s.origin.size(); ++i) {
-      const NodeId to = collapsed.old_to_new[i];
-      ISEX_ASSERT(to.valid(), "collapse dropped a node");
-      auto& dst = new_origin[to.index];
-      dst.insert(dst.end(), s.origin[i].begin(), s.origin[i].end());
-    }
-    s.current = std::move(collapsed.graph);
-    s.origin = std::move(new_origin);
+    s.current.collapse(found.cut, "isex" + std::to_string(round));
     s.cached.reset();
   }
   return result;

@@ -8,28 +8,21 @@
 
 #include "core/selection.hpp"
 #include "core/single_cut.hpp"
-#include "support/parallel.hpp"
 
 namespace isex {
-
-class ResultCache;
-struct CacheCounters;
 
 /// `blocks` are the (finalized) G+ graphs of all basic blocks, frequency
 /// weighted. Returned cuts are expressed over each block's original node ids.
 ///
-/// Per-block identification calls within a round are independent; when an
-/// `executor` is given they run through it, and results are merged in block
-/// order so the output is identical to the serial run. A non-null `cache`
-/// memoizes the identification searches (same output, hits skip the search).
-/// `search` adds subtree parallelism *within* each identification (also
-/// result-identical) — it pays off in the later rounds, where only the one
-/// collapsed block re-identifies and block-level parallelism has nothing to
-/// do.
+/// Per-block identification calls within a round are independent; they run
+/// on `search.executor` and merge in block order, so the output is
+/// identical to the serial run. `search.cache` memoizes the searches (same
+/// output, hits skip the search), and `search.split_depth` adds subtree
+/// parallelism *within* each identification (also result-identical) — it
+/// pays off in the later rounds, where only the one collapsed block
+/// re-identifies and block-level parallelism has nothing to do.
 SelectionResult select_iterative(std::span<const Dfg> blocks, const LatencyModel& latency,
                                  const Constraints& constraints, int num_instructions,
-                                 Executor* executor = nullptr, ResultCache* cache = nullptr,
-                                 CacheCounters* cache_counters = nullptr,
                                  const CutSearchOptions& search = {});
 
 }  // namespace isex

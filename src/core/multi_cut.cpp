@@ -323,9 +323,4 @@ MultiCutResult find_best_cuts(const Dfg& g, const LatencyModel& latency,
   });
 }
 
-MultiCutResult find_best_cuts(const Dfg& g, const LatencyModel& latency,
-                              const Constraints& constraints, int num_cuts) {
-  return find_best_cuts(g, latency, constraints, num_cuts, CutSearchOptions{});
-}
-
 }  // namespace isex

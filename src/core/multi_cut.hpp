@@ -30,17 +30,13 @@ struct MultiCutResult {
 };
 
 /// Finds up to `num_cuts` disjoint cuts jointly maximising the summed merit
-/// under `constraints` for each cut.
-MultiCutResult find_best_cuts(const Dfg& g, const LatencyModel& latency,
-                              const Constraints& constraints, int num_cuts);
-
-/// As above, honouring the shared budget gate and cancel token of `options`
-/// (same override/refusal semantics as the single-cut engine; the token is
-/// polled once per search-tree node). The (M+1)-ary walk is recursive and
-/// does not subtree-split: executor and split_depth are ignored, and results
-/// are independent of both.
+/// under `constraints` for each cut, honouring the shared budget gate and
+/// cancel token of `options` (same override/refusal semantics as the
+/// single-cut engine; the token is polled once per search-tree node). The
+/// (M+1)-ary walk is recursive and does not subtree-split: executor and
+/// split_depth are ignored, and results are independent of both.
 MultiCutResult find_best_cuts(const Dfg& g, const LatencyModel& latency,
                               const Constraints& constraints, int num_cuts,
-                              const CutSearchOptions& options);
+                              const CutSearchOptions& options = {});
 
 }  // namespace isex

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "cache/result_cache.hpp"
+#include "support/parallel.hpp"
 
 namespace isex {
 
@@ -69,11 +70,9 @@ SelectionResult assemble(std::span<const Dfg> blocks, const std::vector<BlockTab
 
 SelectionResult select_optimal(std::span<const Dfg> blocks, const LatencyModel& latency,
                                const Constraints& constraints, int num_instructions,
-                               OptimalMode mode, Executor* executor, ResultCache* cache,
-                               CacheCounters* cache_counters,
-                               const CutSearchOptions& search) {
+                               OptimalMode mode, const CutSearchOptions& search) {
   ISEX_CHECK(num_instructions >= 1, "need at least one instruction slot");
-  if (executor == nullptr) executor = &serial_executor();
+  Executor& executor = search.executor != nullptr ? *search.executor : serial_executor();
   const int max_per_block = std::min(num_instructions, 8);
 
   SelectionResult accounting;
@@ -85,10 +84,9 @@ SelectionResult select_optimal(std::span<const Dfg> blocks, const LatencyModel& 
   // accounting and tables as a serial sweep.
   const auto fill_pending = [&](const std::vector<std::pair<std::size_t, int>>& pending) {
     std::vector<MultiCutResult> found(pending.size());
-    executor->parallel_for(pending.size(), [&](std::size_t i) {
+    executor.parallel_for(pending.size(), [&](std::size_t i) {
       const auto& [b, m] = pending[i];
-      found[i] =
-          cached_multi_cut(cache, blocks[b], latency, constraints, m, cache_counters, search);
+      found[i] = cached_multi_cut(blocks[b], latency, constraints, m, search);
     });
     for (std::size_t i = 0; i < pending.size(); ++i) {
       apply(tables[pending[i].first], std::move(found[i]), pending[i].second, accounting);
@@ -129,11 +127,10 @@ SelectionResult select_optimal(std::span<const Dfg> blocks, const LatencyModel& 
   {
     std::vector<BlockTable> filled(blocks.size());
     std::vector<SelectionResult> local(blocks.size());
-    executor->parallel_for(blocks.size(), [&](std::size_t b) {
+    executor.parallel_for(blocks.size(), [&](std::size_t b) {
       for (int m = 1; m <= max_per_block; ++m) {
         if (!needs_fill(filled[b], m)) break;
-        MultiCutResult r = cached_multi_cut(cache, blocks[b], latency, constraints, m,
-                                            cache_counters, search);
+        MultiCutResult r = cached_multi_cut(blocks[b], latency, constraints, m, search);
         if (!apply(filled[b], std::move(r), m, local[b])) break;
       }
     });

@@ -16,12 +16,8 @@
 
 #include "core/multi_cut.hpp"
 #include "core/selection.hpp"
-#include "support/parallel.hpp"
 
 namespace isex {
-
-class ResultCache;
-struct CacheCounters;
 
 enum class OptimalMode {
   greedy_increments,  // the paper's algorithm
@@ -29,19 +25,16 @@ enum class OptimalMode {
 };
 
 /// Per-block best(b, m) table extensions within a round are independent;
-/// when an `executor` is given they run through it, merged in block order —
-/// the output is identical to the serial run. A non-null `cache` memoizes
-/// the multiple-cut searches (same output, hits skip the search). `search`
-/// threads the request's shared budget gate and cancel token into every
-/// multiple-cut identification (its executor/split knobs do not apply to
-/// the recursive multi-cut engine); a tripped token yields zero-gain
-/// increments, so the greedy loop terminates with the best-so-far partial
-/// allocation.
+/// they run on `search.executor`, merged in block order — the output is
+/// identical to the serial run. `search.cache` memoizes the multiple-cut
+/// searches (same output, hits skip the search), and every search draws on
+/// the shared budget gate and polls the cancel token of `search` (the
+/// recursive multi-cut engine never subtree-splits); a tripped token yields
+/// zero-gain increments, so the greedy loop terminates with the
+/// best-so-far partial allocation.
 SelectionResult select_optimal(std::span<const Dfg> blocks, const LatencyModel& latency,
                                const Constraints& constraints, int num_instructions,
                                OptimalMode mode = OptimalMode::greedy_increments,
-                               Executor* executor = nullptr, ResultCache* cache = nullptr,
-                               CacheCounters* cache_counters = nullptr,
                                const CutSearchOptions& search = {});
 
 }  // namespace isex

@@ -33,9 +33,6 @@
 
 namespace isex {
 
-class ResultCache;
-struct CacheCounters;
-
 /// One application of a portfolio, as the selection schemes consume it: its
 /// finalized, frequency-weighted G+ block graphs plus the portfolio weight
 /// that scales its cycle savings in joint decisions.
@@ -95,30 +92,28 @@ struct PortfolioSelectionResult {
 
 /// Joint-iterative strategy. Each round runs single-cut identification on
 /// every live block — identical kernels cost one enumeration either way:
-/// through `cache` as O(1) hits (counted as cross-workload hits in the
-/// `cache_counters` sink), or uncached by searching one representative per
-/// fingerprint — scores fingerprint-identical groups by
+/// through `search.cache` as O(1) hits (counted as cross-workload hits in
+/// the `search.cache_counters` sink), or uncached by searching one
+/// representative per fingerprint — scores fingerprint-identical groups by
 /// weight-scaled total merit, accepts the best group and collapses its cut
 /// in every member. Stops after `num_instructions` rounds (the shared
 /// opcode budget) or when no cut has positive merit. Deterministic for any
-/// executor thread count.
+/// `search.executor` thread count.
 PortfolioSelectionResult select_portfolio_iterative(
     std::span<const WorkloadBundle> bundles, const LatencyModel& latency,
-    const Constraints& constraints, int num_instructions, Executor* executor = nullptr,
-    ResultCache* cache = nullptr, CacheCounters* cache_counters = nullptr,
+    const Constraints& constraints, int num_instructions,
     const CutSearchOptions& search = {});
 
-/// Merge-then-select strategy: per-bundle Iterative candidate generation,
-/// fingerprint-keyed dedup of identical (block, cut) candidates, then a
-/// selection maximizing weight-scaled merit under the shared
-/// `num_instructions` budget. `max_area_macs > 0` additionally applies a
-/// joint AFU silicon budget via a 0/1 knapsack (grid resolution
+/// Merge-then-select strategy: per-bundle Iterative candidate generation
+/// under `search`, fingerprint-keyed dedup of identical (block, cut)
+/// candidates, then a selection maximizing weight-scaled merit under the
+/// shared `num_instructions` budget. `max_area_macs > 0` additionally
+/// applies a joint AFU silicon budget via a 0/1 knapsack (grid resolution
 /// `area_grid_macs`); `max_area_macs <= 0` means unlimited area.
 PortfolioSelectionResult select_portfolio_merge(
     std::span<const WorkloadBundle> bundles, const LatencyModel& latency,
     const Constraints& constraints, int num_instructions, double max_area_macs = 0.0,
-    double area_grid_macs = 0.002, Executor* executor = nullptr, ResultCache* cache = nullptr,
-    CacheCounters* cache_counters = nullptr, const CutSearchOptions& search = {});
+    double area_grid_macs = 0.002, const CutSearchOptions& search = {});
 
 /// Wraps a single-application SelectionResult as a one-bundle portfolio
 /// selection (weight-scaled); the Explorer uses it to route the legacy

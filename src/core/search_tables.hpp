@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -47,12 +46,10 @@ namespace isex {
 ///
 /// A gate may outlive one search: pass it through CutSearchOptions::budget
 /// and every search sharing it draws tickets from the *same* pool — the
-/// per-request / per-client budget of the exploration service, whose
-/// aggregate cuts_considered then pins exactly at min(demand, budget) across
-/// any number of identification calls, thread counts and split depths.
-/// reset() rearms the full budget between requests (no search may be in
-/// flight); fork() mints a fresh gate with the same budget for callers that
-/// prefer one gate per request over reuse.
+/// per-request budget of the exploration service, which builds one gate
+/// per job. The job's aggregate cuts_considered then pins exactly at
+/// min(demand, budget) across any number of identification calls, thread
+/// counts and split depths.
 class BudgetGate {
  public:
   explicit BudgetGate(std::uint64_t budget) : budget_(budget) {}
@@ -80,17 +77,6 @@ class BudgetGate {
   /// Tickets handed out so far; equals the cuts_considered charged against
   /// this gate once the searches drawing on it have finished.
   std::uint64_t consumed() const { return consumed_.load(std::memory_order_relaxed); }
-
-  /// Rearms the full budget for the next request. Callers must guarantee no
-  /// search is drawing on the gate concurrently — the service resets between
-  /// requests of one client, never mid-run.
-  void reset() {
-    consumed_.store(0, std::memory_order_relaxed);
-    exhausted_.store(false, std::memory_order_relaxed);
-  }
-
-  /// A fresh, unconsumed gate with the same budget (per-request forking).
-  std::unique_ptr<BudgetGate> fork() const { return std::make_unique<BudgetGate>(budget_); }
 
  private:
   const std::uint64_t budget_;

@@ -578,9 +578,4 @@ SingleCutResult find_best_cut(const Dfg& g, const LatencyModel& latency,
   return result;
 }
 
-SingleCutResult find_best_cut(const Dfg& g, const LatencyModel& latency,
-                              const Constraints& constraints) {
-  return find_best_cut(g, latency, constraints, CutSearchOptions{});
-}
-
 }  // namespace isex

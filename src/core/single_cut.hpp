@@ -45,6 +45,8 @@ namespace isex {
 class BudgetGate;
 class CancelToken;
 class Executor;
+class ResultCache;
+struct CacheCounters;
 
 /// Version of the identification algorithms' observable behaviour (results
 /// AND statistics, single- and multiple-cut). Bump it whenever a change to
@@ -83,20 +85,30 @@ struct SearchEngineStats {
   std::atomic<std::uint64_t> serial_searches{0};
 };
 
-/// Subtree-parallelism knobs for find_best_cut. Results are byte-identical
-/// to the serial engine — cut, merit and all statistics — for any depth and
-/// thread count, with two carve-outs: branch_and_bound searches always run
-/// serially (counted in SearchEngineStats::serial_searches), and a
-/// search_budget that exhausts mid-search keeps only its *accounting*
-/// deterministic under parallelism (see Constraints::search_budget).
+/// The one run context from the selection schemes down to the engines:
+/// every per-run value an identification search may use. The schemes that
+/// run identification (select_iterative, select_optimal,
+/// select_area_constrained and the two portfolio strategies) take it as
+/// their only run parameter, run their per-block work on `executor`, and
+/// hand it on to cached_single_cut / cached_multi_cut and from there to the
+/// engines.
+///
+/// Results are byte-identical to the serial engine — cut, merit and all
+/// statistics — for any executor, depth, thread count and cache, with two
+/// carve-outs: branch_and_bound searches always run serially (counted in
+/// SearchEngineStats::serial_searches), and a search_budget that exhausts
+/// mid-search keeps only its *accounting* deterministic under parallelism
+/// (see Constraints::search_budget).
 struct CutSearchOptions {
-  /// Where subtree tasks run; null runs them inline on the caller.
+  /// Where per-block work and subtree tasks run; null runs them inline on
+  /// the caller.
   Executor* executor = nullptr;
   /// Candidate-decision depth of the eager split: the first split_depth
   /// candidate decisions run serially and queue up to 2^split_depth
   /// subtree tasks; 0 = serial. The eager split alone leaves most of a
   /// pruned tree in one task; donation is what balances the load, so
-  /// depth 1 already keeps a pool busy on a large block.
+  /// depth 1 already keeps a pool busy on a large block. The multi-cut
+  /// engine's recursive walk never splits.
   int split_depth = 0;
   /// Optional counter sink.
   SearchEngineStats* stats = nullptr;
@@ -117,16 +129,20 @@ struct CutSearchOptions {
   /// layer refuses to store the result (same discipline as an exhausted
   /// gate: the cache key cannot see the token).
   CancelToken* cancel = nullptr;
+  /// Identification memo table consulted by cached_single_cut /
+  /// cached_multi_cut; null searches every time. The engines ignore it.
+  ResultCache* cache = nullptr;
+  /// Counter sink for this run's memo hits and misses (may be null): the
+  /// cache increments it alongside its lifetime counters, so a report can
+  /// attribute its own deltas while other runs share the cache.
+  CacheCounters* cache_counters = nullptr;
 };
 
-/// Finds the cut maximising M(S) under `constraints` (paper Problem 1).
-SingleCutResult find_best_cut(const Dfg& g, const LatencyModel& latency,
-                              const Constraints& constraints);
-
-/// As above, with subtree-parallel search under `options` (byte-identical
-/// results; see CutSearchOptions).
+/// Finds the cut maximising M(S) under `constraints` (paper Problem 1),
+/// subtree-parallel under `options` (byte-identical results; see
+/// CutSearchOptions).
 SingleCutResult find_best_cut(const Dfg& g, const LatencyModel& latency,
                               const Constraints& constraints,
-                              const CutSearchOptions& options);
+                              const CutSearchOptions& options = {});
 
 }  // namespace isex

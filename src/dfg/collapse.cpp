@@ -69,4 +69,29 @@ CollapseResult collapse(const Dfg& g, const BitVector& members, const std::strin
   return r;
 }
 
+CollapsedBlock::CollapsedBlock(const Dfg& original)
+    : original_nodes_(original.num_nodes()), current_(original), origin_(original.num_nodes()) {
+  for (std::size_t i = 0; i < origin_.size(); ++i) origin_[i] = {i};
+}
+
+BitVector CollapsedBlock::to_original(const BitVector& cut) const {
+  BitVector mapped(original_nodes_);
+  cut.for_each([&](std::size_t i) {
+    for (const std::size_t orig : origin_[i]) mapped.set(orig);
+  });
+  return mapped;
+}
+
+void CollapsedBlock::collapse(const BitVector& cut, const std::string& label) {
+  CollapseResult collapsed = isex::collapse(current_, cut, label);
+  std::vector<std::vector<std::size_t>> origin(collapsed.graph.num_nodes());
+  for (std::size_t i = 0; i < origin_.size(); ++i) {
+    const NodeId to = collapsed.old_to_new[i];
+    ISEX_ASSERT(to.valid(), "collapse dropped a node");
+    origin[to.index].insert(origin[to.index].end(), origin_[i].begin(), origin_[i].end());
+  }
+  current_ = std::move(collapsed.graph);
+  origin_ = std::move(origin);
+}
+
 }  // namespace isex

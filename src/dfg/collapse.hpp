@@ -21,4 +21,23 @@ struct CollapseResult {
 /// edges, so later convexity checks see paths through the fused instruction.
 CollapseResult collapse(const Dfg& g, const BitVector& members, const std::string& label);
 
+/// One block under Iterative selection: its graph with the accepted cuts
+/// collapsed, and the original node ids behind each current node.
+class CollapsedBlock {
+ public:
+  explicit CollapsedBlock(const Dfg& original);
+
+  /// The block with every accepted cut fused into one forbidden node.
+  const Dfg& graph() const { return current_; }
+  /// `cut` over graph() as a cut over the original block's node ids.
+  BitVector to_original(const BitVector& cut) const;
+  /// Fuses `cut` (over graph()) into one node named `label`.
+  void collapse(const BitVector& cut, const std::string& label);
+
+ private:
+  std::size_t original_nodes_;
+  Dfg current_;
+  std::vector<std::vector<std::size_t>> origin_;  // current node -> original ids
+};
+
 }  // namespace isex

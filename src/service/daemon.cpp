@@ -12,24 +12,21 @@
 
 namespace isex {
 
-/// One accepted client connection: the reader thread's frame source and a
-/// thread-safe EventSink over the same fd. The object stays alive (and the
-/// fd open) as long as any job still holds it as a subscriber, so a client
-/// that half-closes after sending its requests still receives every
+/// One accepted client connection: the reader thread's frame source and
+/// thread-safe event writes over the same fd. The object stays alive (and
+/// the fd open) as long as any job still holds it as a subscriber, so a
+/// client that half-closes after sending its requests still receives every
 /// response.
-class IsexDaemon::Connection : public EventSink {
+class IsexDaemon::Connection {
  public:
   Connection(FdHandle fd, std::size_t max_frame_bytes)
       : fd_(std::move(fd)), reader_(fd_.get(), max_frame_bytes) {}
 
-  ~Connection() override { join(); }
+  ~Connection() { join(); }
 
-  bool emit(const std::string& id, const std::string& event, const Json& data) override {
-    return emit_versioned(id, event, data, kServiceProtocolVersion);
-  }
-
-  /// As emit(), tagging the frame with the protocol version the subscriber's
-  /// request arrived under — a v1 client never reads a v2-tagged frame.
+  /// Writes one event frame, tagged with the protocol version the
+  /// subscriber's request arrived under — a v1 client never reads a
+  /// v2-tagged frame. False once the client is gone.
   bool emit_versioned(const std::string& id, const std::string& event, const Json& data,
                       int version) {
     std::lock_guard<std::mutex> lock(write_mu_);
@@ -95,6 +92,20 @@ class IsexDaemon::Connection : public EventSink {
   std::mutex write_mu_;
   bool alive_ = true;
 };
+
+namespace {
+
+/// The data of an `error` event: code, message and the machine-readable
+/// details (e.g. queue-full's retry_after_ms) next to them.
+Json error_data(const ServiceError& e) {
+  Json data = Json::object();
+  data.set("code", e.code());
+  data.set("message", std::string(e.what()));
+  for (const auto& [key, value] : e.details().as_object()) data.set(key, value);
+  return data;
+}
+
+}  // namespace
 
 IsexDaemon::IsexDaemon(DaemonConfig config)
     : config_(std::move(config)),
@@ -236,17 +247,10 @@ std::pair<std::string, Json> IsexDaemon::run_job(const ServiceJobPtr& job) {
     data.set("store", store_->status());
     return {"report", std::move(data)};
   } catch (const ServiceError& e) {
-    Json data = Json::object();
-    data.set("code", e.code());
-    data.set("message", std::string(e.what()));
-    for (const auto& [key, value] : e.details().as_object()) data.set(key, value);
-    return {"error", std::move(data)};
+    return {"error", error_data(e)};
   } catch (const std::exception& e) {
     // A pipeline failure poisons this job only; the daemon keeps serving.
-    Json data = Json::object();
-    data.set("code", std::string(kErrInternal));
-    data.set("message", std::string(e.what()));
-    return {"error", std::move(data)};
+    return {"error", error_data(ServiceError(kErrInternal, e.what()))};
   }
 }
 
@@ -282,9 +286,10 @@ bool IsexDaemon::handle_line(const std::shared_ptr<Connection>& conn,
     // the host bounds what one frame may ask for: past the core count more
     // threads buy nothing, and a wire-chosen count could exhaust the
     // process.
-    const int threads = frame.single.has_value() ? frame.single->num_threads
-                                                 : frame.portfolio->num_threads;
-    if (threads > max_request_threads_) {
+    const RunOptions& run = frame.single.has_value()
+                                ? static_cast<const RunOptions&>(*frame.single)
+                                : *frame.portfolio;
+    if (run.num_threads > max_request_threads_) {
       throw ServiceError(kErrBadRequest, "num_threads must be <= " +
                                              std::to_string(max_request_threads_) +
                                              " (this host's cores; 0 = all of them)");
@@ -299,13 +304,7 @@ bool IsexDaemon::handle_line(const std::shared_ptr<Connection>& conn,
     queue_.submit(std::move(frame), id, std::move(sink));  // emits the accepted event
     return true;
   } catch (const ServiceError& e) {
-    Json data = Json::object();
-    data.set("code", e.code());
-    data.set("message", std::string(e.what()));
-    // Machine-readable extras (e.g. queue-full's retry_after_ms) ride next
-    // to code/message in the event's data object.
-    for (const auto& [key, value] : e.details().as_object()) data.set(key, value);
-    return conn->emit_versioned(id, "error", data, version);
+    return conn->emit_versioned(id, "error", error_data(e), version);
   }
 }
 

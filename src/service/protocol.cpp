@@ -128,14 +128,14 @@ void check_workload_name(const std::string& name, const char* what) {
   }
 }
 
-void check_common_knobs(int num_instructions, int num_threads, int subtree_split_depth) {
-  if (num_instructions < 1) {
+void check_common_knobs(const RunOptions& run) {
+  if (run.num_instructions < 1) {
     throw ServiceError(kErrBadRequest, "num_instructions must be >= 1");
   }
-  if (num_threads < 0) {
+  if (run.num_threads < 0) {
     throw ServiceError(kErrBadRequest, "num_threads must be >= 0 (0 = hardware)");
   }
-  if (subtree_split_depth < 0) {
+  if (run.subtree_split_depth < 0) {
     throw ServiceError(kErrBadRequest, "subtree_split_depth must be >= 0");
   }
 }
@@ -274,8 +274,7 @@ ExplorationRequest exploration_request_from_json(const Json& j) {
       throw ServiceError(kErrBadRequest,
                          "request: 'workload' and 'ir_text' are mutually exclusive");
     }
-    check_common_knobs(request.num_instructions, request.num_threads,
-                       request.subtree_split_depth);
+    check_common_knobs(request);
     return request;
   });
 }
@@ -324,8 +323,7 @@ MultiExplorationRequest multi_exploration_request_from_json(const Json& j) {
     if (request.workloads.empty()) {
       throw ServiceError(kErrBadRequest, "request: portfolio needs at least one workload");
     }
-    check_common_knobs(request.num_instructions, request.num_threads,
-                       request.subtree_split_depth);
+    check_common_knobs(request);
     return request;
   });
 }

@@ -6,7 +6,6 @@
 // multiple-cut engine, alone or across searches sharing one external gate.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "core/multi_cut.hpp"
@@ -49,12 +48,16 @@ TEST(BudgetGateTest, HandsOutExactlyTheBudgetUnderContention) {
   // 16 x 200 = 3200 attempts against a budget of 1000: exactly 1000 grants.
   EXPECT_EQ(granted.load(), 1000u);
   EXPECT_TRUE(gate.exhausted());
+  EXPECT_TRUE(gate.limited());
+  EXPECT_EQ(gate.budget(), 1000u);
+  EXPECT_EQ(gate.consumed(), 1000u);  // failed consumes never overshoot
 
   BudgetGate roomy(5000);
   EXPECT_TRUE(roomy.consume());
   EXPECT_FALSE(roomy.exhausted());
 
   BudgetGate unlimited(0);
+  EXPECT_FALSE(unlimited.limited());
   for (int i = 0; i < 100; ++i) EXPECT_TRUE(unlimited.consume());
   EXPECT_FALSE(unlimited.exhausted());
 }
@@ -87,34 +90,6 @@ TEST(SearchBudget, CutsConsideredPinsExactlyAtTheCutoff) {
     // and hence the partial best — is only pinned serially).
     EXPECT_EQ(split.stats.cuts_considered, budget) << threads << " threads";
   }
-}
-
-TEST(BudgetGateTest, ResetAndForkGiveFreshTicketPools) {
-  BudgetGate gate(5);
-  EXPECT_TRUE(gate.limited());
-  EXPECT_EQ(gate.budget(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(gate.consume());
-  EXPECT_FALSE(gate.consume());
-  EXPECT_TRUE(gate.exhausted());
-  EXPECT_EQ(gate.consumed(), 5u);
-
-  // fork(): same ceiling, untouched tickets — the daemon's per-request
-  // gates are forked from one configured prototype.
-  const std::unique_ptr<BudgetGate> forked = gate.fork();
-  EXPECT_EQ(forked->budget(), 5u);
-  EXPECT_EQ(forked->consumed(), 0u);
-  EXPECT_FALSE(forked->exhausted());
-  EXPECT_TRUE(forked->consume());
-  EXPECT_TRUE(gate.exhausted());  // the original is unaffected
-
-  // reset(): the same gate serves the next request from zero.
-  gate.reset();
-  EXPECT_EQ(gate.consumed(), 0u);
-  EXPECT_FALSE(gate.exhausted());
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(gate.consume());
-  EXPECT_FALSE(gate.consume());
-
-  EXPECT_FALSE(BudgetGate(0).limited());
 }
 
 TEST(SearchBudget, ExternalGatePinsTheAggregateAcrossSearches) {

@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
+
+#include "cache/result_cache.hpp"
+#include "core/area_select.hpp"
 #include "core/baseline_select.hpp"
 #include "core/clubbing.hpp"
 #include "core/iterative_select.hpp"
 #include "core/maxmiso.hpp"
 #include "core/optimal_select.hpp"
+#include "core/portfolio_select.hpp"
+#include "core/search_tables.hpp"
 #include "dfg/random_dag.hpp"
+#include "support/cancellation.hpp"
 
 #include "schedulable.hpp"
 
@@ -151,6 +159,116 @@ TEST(IterativeSelect, CollapsePreventsReuse) {
   blocks.push_back(chains_block(10.0, 1));
   const SelectionResult r = select_iterative(blocks, kLat, cons(4, 1), 4);
   EXPECT_EQ(r.cuts.size(), 1u);
+}
+
+// --- The run context ------------------------------------------------------
+
+/// Every observable field of a selection: cuts, merits, instances,
+/// identification calls and each statistics counter.
+std::string digest(const PortfolioSelectionResult& r) {
+  std::string out;
+  char buf[64];
+  const auto num = [&](double v) {
+    std::snprintf(buf, sizeof buf, "%a ", v);
+    out += buf;
+  };
+  for (const PortfolioSelectedCut& c : r.cuts) {
+    for (std::size_t k = 0; k < c.served.size(); ++k) {
+      out += std::to_string(c.served[k].bundle_index) + "/" +
+             std::to_string(c.served[k].block_index) + ":" + c.served_cuts[k].to_string() + " ";
+    }
+    num(c.merit);
+    num(c.weighted_merit);
+    out += "| ";
+  }
+  num(r.total_weighted_merit);
+  for (const double saved : r.saved_per_bundle) num(saved);
+  const EnumerationStats& st = r.stats;
+  for (const std::uint64_t v : {r.identification_calls, st.cuts_considered, st.passed_checks,
+                                st.failed_output, st.failed_convex, st.pruned_inputs,
+                                st.pruned_bound, st.best_updates}) {
+    out += std::to_string(v) + " ";
+  }
+  out += st.budget_exhausted ? "exhausted " : "";
+  out += st.cancelled ? "cancelled" : "";
+  return out;
+}
+
+TEST(RunContext, EverySchemeSelectsTheSameUnderAnyContext) {
+  std::vector<Dfg> blocks_a;
+  std::vector<Dfg> blocks_b;
+  for (std::uint64_t b = 0; b < 3; ++b) {
+    RandomDagConfig cfg;
+    cfg.num_ops = 14;
+    cfg.seed = 4100 + b;
+    Dfg g = random_dag(cfg);
+    g.set_exec_freq(1.0 + static_cast<double>(b));
+    blocks_a.push_back(g);
+    cfg.seed = 5100 + b;
+    blocks_b.push_back(b == 0 ? std::move(g) : random_dag(cfg));  // one shared kernel
+  }
+  const std::vector<WorkloadBundle> bundles = {{"a", blocks_a, 2.0, 900.0},
+                                               {"b", blocks_b, 1.0, 700.0}};
+  const Constraints c = cons(3, 2);
+  AreaSelectOptions area;
+  area.max_area_macs = 0.2;
+  area.num_instructions = 3;
+
+  using Scheme = std::function<PortfolioSelectionResult(const CutSearchOptions&)>;
+  const std::vector<std::pair<std::string, Scheme>> schemes = {
+      {"iterative",
+       [&](const CutSearchOptions& s) {
+         return portfolio_from_single(select_iterative(blocks_a, kLat, c, 4, s), 1.0);
+       }},
+      {"optimal",
+       [&](const CutSearchOptions& s) {
+         return portfolio_from_single(
+             select_optimal(blocks_a, kLat, c, 4, OptimalMode::greedy_increments, s), 1.0);
+       }},
+      {"optimal-dp",
+       [&](const CutSearchOptions& s) {
+         return portfolio_from_single(
+             select_optimal(blocks_a, kLat, c, 4, OptimalMode::exact_dp, s), 1.0);
+       }},
+      {"area",
+       [&](const CutSearchOptions& s) {
+         return portfolio_from_single(select_area_constrained(blocks_a, kLat, c, area, s), 1.0);
+       }},
+      {"joint-iterative",
+       [&](const CutSearchOptions& s) {
+         return select_portfolio_iterative(bundles, kLat, c, 4, s);
+       }},
+      {"merge-then-select",
+       [&](const CutSearchOptions& s) {
+         return select_portfolio_merge(bundles, kLat, c, 4, 0.0, 0.002, s);
+       }},
+  };
+
+  ThreadPool pool(4);
+  for (const auto& [name, run] : schemes) {
+    const std::string plain = digest(run(CutSearchOptions{}));
+    ASSERT_NE(plain.find(':'), std::string::npos) << name << " selected nothing";
+
+    ResultCache cache;
+    CacheCounters cold;
+    SearchEngineStats engine;
+    BudgetGate gate(std::uint64_t{1} << 40);  // too large to run out
+    CancelToken token;                          // never tripped
+    CutSearchOptions context{&pool, 3, &engine, &gate, &token, &cache, &cold};
+    EXPECT_EQ(digest(run(context)), plain) << name;
+    EXPECT_GT(cold.misses, 0u) << name;
+    EXPECT_GT(gate.consumed(), 0u) << name;
+    EXPECT_FALSE(gate.exhausted()) << name;
+    // The multi-cut engine never splits and keeps no engine counters.
+    EXPECT_EQ(engine.split_searches > 0, name.rfind("optimal", 0) != 0) << name;
+
+    // A second run through the same cache searches nothing.
+    CacheCounters warm;
+    context.cache_counters = &warm;
+    EXPECT_EQ(digest(run(context)), plain) << name;
+    EXPECT_EQ(warm.misses, 0u) << name;
+    EXPECT_GT(warm.hits, 0u) << name;
+  }
 }
 
 // --- Baselines -----------------------------------------------------------
