@@ -312,7 +312,8 @@ int main(int argc, char** argv) {
     SearchEngineStats engine_stats;
     SingleCutResult split_result =
         find_best_cut(big, LatencyModel::standard_018um(), big_cons,
-                      CutSearchOptions{&pool, split_depth, &engine_stats});
+                      CutSearchOptions{
+                          .executor = &pool, .split_depth = split_depth, .stats = &engine_stats});
     if (!same_result(split_result, big_serial)) {
       std::cerr << "ENGINE MISMATCH: subtree-parallel result diverged at " << threads
                 << " threads\n";
@@ -328,7 +329,7 @@ int main(int argc, char** argv) {
     }
     const auto split_engine = [&](const Dfg& g) {
       return find_best_cut(g, LatencyModel::standard_018um(), big_cons,
-                           CutSearchOptions{&pool, split_depth, nullptr});
+                           CutSearchOptions{.executor = &pool, .split_depth = split_depth});
     };
     ThreadRow row;
     row.threads = threads;

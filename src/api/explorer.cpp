@@ -245,13 +245,13 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
                       run.constraints,
                       run.num_instructions,
                       area,
-                      executor,
-                      run.use_cache ? &explorer.cache() : nullptr,
-                      &local,
-                      run.subtree_split_depth,
-                      &engine_stats,
-                      hooks.budget_gate,
-                      cancel};
+                      {.executor = executor,
+                       .cache = run.use_cache ? &explorer.cache() : nullptr,
+                       .cache_counters = &local,
+                       .split_depth = run.subtree_split_depth,
+                       .stats = &engine_stats,
+                       .budget = hooks.budget_gate,
+                       .cancel = cancel}};
   PortfolioSelectionResult& selection = report.selection;
   selection = scheme.select(inputs);
   // An exploration report lists one instruction per serving instance.

@@ -69,35 +69,33 @@ void register_builtin_schemes(SchemeRegistry& registry) {
       "iterative", "single-cut identification + collapse (paper Section 6.3)",
       [](const SchemeInputs& in) {
         return select_iterative(in.bundles[0].blocks, in.latency, in.constraints,
-                                in.num_instructions, in.search_options());
+                                in.num_instructions, in.search);
       }));
   registry.add(std::make_unique<SingleWorkloadScheme>(
       "optimal", "greedy best(b, m) increments over multiple-cut tables (Section 6.2)",
       [](const SchemeInputs& in) {
         return select_optimal(in.bundles[0].blocks, in.latency, in.constraints,
-                              in.num_instructions, OptimalMode::greedy_increments,
-                              in.search_options());
+                              in.num_instructions, OptimalMode::greedy_increments, in.search);
       }));
   registry.add(std::make_unique<SingleWorkloadScheme>(
       "optimal-dp", "exact DP allocation over the best(b, m) tables",
       [](const SchemeInputs& in) {
         return select_optimal(in.bundles[0].blocks, in.latency, in.constraints,
-                              in.num_instructions, OptimalMode::exact_dp,
-                              in.search_options());
+                              in.num_instructions, OptimalMode::exact_dp, in.search);
       }));
   registry.add(std::make_unique<SingleWorkloadScheme>(
       "clubbing", "Clubbing baseline, candidates ranked by merit",
       [](const SchemeInputs& in) {
         return select_baseline(in.bundles[0].blocks, in.latency,
                                in.constraints, in.num_instructions,
-                               BaselineAlgorithm::clubbing, in.executor);
+                               BaselineAlgorithm::clubbing, in.search.executor);
       }));
   registry.add(std::make_unique<SingleWorkloadScheme>(
       "maxmiso", "MaxMISO baseline, candidates ranked by merit",
       [](const SchemeInputs& in) {
         return select_baseline(in.bundles[0].blocks, in.latency,
                                in.constraints, in.num_instructions,
-                               BaselineAlgorithm::max_miso, in.executor);
+                               BaselineAlgorithm::max_miso, in.search.executor);
       }));
   registry.add(std::make_unique<SingleWorkloadScheme>(
       "area", "knapsack selection under an AFU silicon budget (Section 9 extension)",
@@ -105,7 +103,7 @@ void register_builtin_schemes(SchemeRegistry& registry) {
         AreaSelectOptions options = in.area;
         options.num_instructions = in.num_instructions;
         return select_area_constrained(in.bundles[0].blocks, in.latency, in.constraints,
-                                       options, in.search_options());
+                                       options, in.search);
       }));
   registry.add(std::make_unique<PortfolioScheme>(
       "joint-iterative",
@@ -113,7 +111,7 @@ void register_builtin_schemes(SchemeRegistry& registry) {
       "opcode budget, with fingerprint-grouped shared kernels",
       [](const SchemeInputs& in) {
         return select_portfolio_iterative(in.bundles, in.latency, in.constraints,
-                                          in.num_instructions, in.search_options());
+                                          in.num_instructions, in.search);
       }));
   registry.add(std::make_unique<PortfolioScheme>(
       "merge-then-select",
@@ -122,7 +120,7 @@ void register_builtin_schemes(SchemeRegistry& registry) {
       [](const SchemeInputs& in) {
         return select_portfolio_merge(in.bundles, in.latency, in.constraints,
                                       in.num_instructions, in.area.max_area_macs,
-                                      in.area.area_grid_macs, in.search_options());
+                                      in.area.area_grid_macs, in.search);
       }));
 }
 

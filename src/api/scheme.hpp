@@ -30,10 +30,6 @@ namespace isex {
 /// inputs (no hidden state): the Explorer relies on that for determinism
 /// across thread counts, and the memoization layer relies on it for
 /// correctness of cached identification results.
-///
-/// The members from `executor` on are the run context; schemes built on
-/// identification pass search_options() whole rather than reading them one
-/// by one.
 struct SchemeInputs {
   /// One bundle per application. Single-workload requests arrive as a
   /// portfolio of one bundle with weight 1.
@@ -47,31 +43,11 @@ struct SchemeInputs {
   /// portfolio schemes `area.max_area_macs <= 0` means "no joint area
   /// budget"; the single-workload "area" scheme keeps its own semantics.
   AreaSelectOptions area;
-  /// Never null; per-block work runs on it.
-  Executor* executor = nullptr;
-  /// Identification memo table; null when the request opted out.
-  ResultCache* cache = nullptr;
-  /// Per-request memo counter sink (may be null). Portfolio schemes fan it
-  /// out into per-bundle scoped sinks so cross-workload sharing is counted.
-  CacheCounters* cache_counters = nullptr;
-  /// Subtree split depth of single-cut searches (0 = serial).
-  int subtree_split_depth = 0;
-  /// Per-request engine counter sink (may be null), surfaced as the
-  /// report's "engine" section.
-  SearchEngineStats* engine_stats = nullptr;
-  /// Shared per-request search-budget gate (may be null): the exploration
-  /// service's per-client budget.
-  BudgetGate* budget_gate = nullptr;
-  /// Shared per-request cancel token (may be null).
-  CancelToken* cancel = nullptr;
-
-  /// The run context above as the CutSearchOptions every identification of
-  /// this request searches with (see CutSearchOptions for each field's
-  /// contract).
-  CutSearchOptions search_options() const {
-    return CutSearchOptions{executor, subtree_split_depth, engine_stats, budget_gate,
-                            cancel,   cache,               cache_counters};
-  }
+  /// The run context every identification of this request searches with,
+  /// passed whole (see CutSearchOptions for each member's contract).
+  /// Portfolio schemes fan `search.cache_counters` out into per-bundle
+  /// scoped sinks so cross-workload sharing is counted.
+  CutSearchOptions search;
 
   /// The blocks of the portfolio's only bundle. Single-application schemes
   /// call this first: it throws an isex::Error naming `scheme` when the

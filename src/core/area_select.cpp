@@ -2,11 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "core/iterative_select.hpp"
 
 namespace isex {
+
+int candidate_pool_slots(int num_instructions) {
+  constexpr int kMax = std::numeric_limits<int>::max();
+  return num_instructions > kMax / 2 ? kMax : num_instructions * 2;
+}
 
 std::vector<std::size_t> knapsack_select_indices(std::span<const double> values,
                                                  std::span<const double> areas,
@@ -22,6 +28,9 @@ std::vector<std::size_t> knapsack_select_indices(std::span<const double> values,
   };
   const int capacity = std::max(0, grid(max_area_macs));
   const std::size_t n = values.size();
+  // Past n items every dp row is saturated: the cap keeps the selection and
+  // sizes the table by the items, not by Ninstr.
+  max_count = static_cast<int>(std::min<std::size_t>(max_count, n));
 
   // dp[i][w][k] = best value from the first i items with area weight <= w
   // and <= k instructions. Full staged table for exact reconstruction.
@@ -74,10 +83,8 @@ SelectionResult select_area_constrained(std::span<const Dfg> blocks,
   ISEX_CHECK(options.num_instructions >= 1, "need at least one instruction slot");
   ISEX_CHECK(options.area_grid_macs > 0, "area grid must be positive");
 
-  // Candidate pool: more slots than the final cap so the knapsack can trade
-  // one large candidate for several small ones.
-  SelectionResult pool =
-      select_iterative(blocks, latency, constraints, options.num_instructions * 2, search);
+  SelectionResult pool = select_iterative(blocks, latency, constraints,
+                                          candidate_pool_slots(options.num_instructions), search);
 
   std::vector<double> values;
   std::vector<double> areas;

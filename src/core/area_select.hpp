@@ -33,6 +33,11 @@ SelectionResult select_area_constrained(std::span<const Dfg> blocks,
                                         const AreaSelectOptions& options,
                                         const CutSearchOptions& search = {});
 
+/// Slots of an area-budgeted scheme's Iterative candidate pool: twice the
+/// instruction cap, so the knapsack can trade one large candidate for
+/// several small ones. Saturates at INT_MAX instead of wrapping.
+int candidate_pool_slots(int num_instructions);
+
 /// The Section 9 selection core, exposed for every area-budgeted scheme
 /// (single-application "area", portfolio merge-then-select): 0/1 knapsack
 /// over parallel (value, area) items with an instruction-count cap.

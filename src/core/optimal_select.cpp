@@ -140,7 +140,10 @@ SelectionResult select_optimal(std::span<const Dfg> blocks, const LatencyModel& 
       accounting.stats += l.stats;
     }
   }
-  const int budget = num_instructions;
+  // Past blocks × max_per_block cuts every dp row is saturated: the cap keeps
+  // the allocation and sizes the tables by the blocks, not by Ninstr.
+  const int budget = static_cast<int>(
+      std::min<std::size_t>(num_instructions, blocks.size() * max_per_block));
   std::vector<std::vector<double>> dp(blocks.size() + 1,
                                       std::vector<double>(budget + 1, 0.0));
   std::vector<std::vector<int>> take(blocks.size() + 1, std::vector<int>(budget + 1, 0));

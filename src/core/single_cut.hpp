@@ -93,6 +93,10 @@ struct SearchEngineStats {
 /// hand it on to cached_single_cut / cached_multi_cut and from there to the
 /// engines.
 ///
+/// The member order is part of the interface: perfbench's replay fills
+/// SchemeInputs::search by brace elision from its last seven positional
+/// values. Add members at the end (see scheme_inputs_test.cpp).
+///
 /// Results are byte-identical to the serial engine — cut, merit and all
 /// statistics — for any executor, depth, thread count and cache, with two
 /// carve-outs: branch_and_bound searches always run serially (counted in
@@ -103,6 +107,13 @@ struct CutSearchOptions {
   /// Where per-block work and subtree tasks run; null runs them inline on
   /// the caller.
   Executor* executor = nullptr;
+  /// Identification memo table consulted by cached_single_cut /
+  /// cached_multi_cut; null searches every time. The engines ignore it.
+  ResultCache* cache = nullptr;
+  /// Counter sink for this run's memo hits and misses (may be null): the
+  /// cache increments it alongside its lifetime counters, so a report can
+  /// attribute its own deltas while other runs share the cache.
+  CacheCounters* cache_counters = nullptr;
   /// Candidate-decision depth of the eager split: the first split_depth
   /// candidate decisions run serially and queue up to 2^split_depth
   /// subtree tasks; 0 = serial. The eager split alone leaves most of a
@@ -129,13 +140,6 @@ struct CutSearchOptions {
   /// layer refuses to store the result (same discipline as an exhausted
   /// gate: the cache key cannot see the token).
   CancelToken* cancel = nullptr;
-  /// Identification memo table consulted by cached_single_cut /
-  /// cached_multi_cut; null searches every time. The engines ignore it.
-  ResultCache* cache = nullptr;
-  /// Counter sink for this run's memo hits and misses (may be null): the
-  /// cache increments it alongside its lifetime counters, so a report can
-  /// attribute its own deltas while other runs share the cache.
-  CacheCounters* cache_counters = nullptr;
 };
 
 /// Finds the cut maximising M(S) under `constraints` (paper Problem 1),

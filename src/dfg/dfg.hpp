@@ -116,8 +116,7 @@ class Dfg {
   /// IR block this graph was extracted from (invalid for synthetic graphs).
   BlockId source_block() const { return source_block_; }
 
-  /// Sum of all candidate software latencies — an upper bound used by
-  /// branch-and-bound pruning and speedup accounting.
+  /// True once finalize() has run.
   bool finalized() const { return finalized_; }
 
  private:

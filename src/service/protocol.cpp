@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/serialize.hpp"
@@ -38,6 +40,20 @@ void for_known_keys(const Json& j, const char* what, Fn&& handle) {
   }
 }
 
+/// Decodes a wire integer into an int field of at least `min`. Anything
+/// else is a bad-request naming the field: a value past int's range must
+/// not wrap (2^32 + 1 is not 1).
+int int_field(const Json& value, const std::string& field,
+              int min = std::numeric_limits<int>::min()) {
+  const std::int64_t v = value.as_int();
+  if (!std::in_range<int>(v)) {
+    throw ServiceError(kErrBadRequest,
+                       field + ": " + std::to_string(v) + " is out of range for an int");
+  }
+  if (v < min) throw ServiceError(kErrBadRequest, field + " must be >= " + std::to_string(min));
+  return static_cast<int>(v);
+}
+
 Json to_json(const DfgOptions& options) {
   Json j = Json::object();
   j.set("allow_rom_loads", options.allow_rom_loads);
@@ -70,7 +86,7 @@ AreaSelectOptions area_options_from_json(const Json& j) {
     if (key == "max_area_macs") {
       area.max_area_macs = value.as_double();
     } else if (key == "num_instructions") {
-      area.num_instructions = static_cast<int>(value.as_int());
+      area.num_instructions = int_field(value, "area.num_instructions");
     } else if (key == "area_grid_macs") {
       area.area_grid_macs = value.as_double();
     } else {
@@ -78,6 +94,14 @@ AreaSelectOptions area_options_from_json(const Json& j) {
     }
     return true;
   });
+  // The area scheme's knapsack needs both; an unusable value is the
+  // client's error, not an internal failure of the daemon.
+  if (!(area.max_area_macs >= 0)) {
+    throw ServiceError(kErrBadRequest, "area.max_area_macs must be >= 0");
+  }
+  if (!(area.area_grid_macs > 0)) {
+    throw ServiceError(kErrBadRequest, "area.area_grid_macs must be > 0");
+  }
   return area;
 }
 
@@ -88,9 +112,9 @@ Constraints service_constraints_from_json(const Json& j) {
   Constraints c;
   for_known_keys(j, "constraints", [&](const std::string& key, const Json& value) {
     if (key == "max_inputs") {
-      c.max_inputs = static_cast<int>(value.as_int());
+      c.max_inputs = int_field(value, "constraints.max_inputs", 1);
     } else if (key == "max_outputs") {
-      c.max_outputs = static_cast<int>(value.as_int());
+      c.max_outputs = int_field(value, "constraints.max_outputs", 1);
     } else if (key == "enable_pruning") {
       c.enable_pruning = value.as_bool();
     } else if (key == "prune_permanent_inputs") {
@@ -104,10 +128,6 @@ Constraints service_constraints_from_json(const Json& j) {
     }
     return true;
   });
-  if (c.max_inputs < 1 || c.max_outputs < 1) {
-    throw ServiceError(kErrBadRequest,
-                       "constraints must allow at least one input and one output");
-  }
   return c;
 }
 
@@ -128,18 +148,6 @@ void check_workload_name(const std::string& name, const char* what) {
   }
 }
 
-void check_common_knobs(const RunOptions& run) {
-  if (run.num_instructions < 1) {
-    throw ServiceError(kErrBadRequest, "num_instructions must be >= 1");
-  }
-  if (run.num_threads < 0) {
-    throw ServiceError(kErrBadRequest, "num_threads must be >= 0 (0 = hardware)");
-  }
-  if (run.subtree_split_depth < 0) {
-    throw ServiceError(kErrBadRequest, "subtree_split_depth must be >= 0");
-  }
-}
-
 /// Decodes one of the knobs both request kinds carry; false for any other
 /// key.
 template <typename Request>
@@ -149,11 +157,11 @@ bool run_knob_from_json(const std::string& key, const Json& value, Request& requ
   } else if (key == "constraints") {
     request.constraints = service_constraints_from_json(value);
   } else if (key == "num_instructions") {
-    request.num_instructions = static_cast<int>(value.as_int());
+    request.num_instructions = int_field(value, key, 1);
   } else if (key == "num_threads") {
-    request.num_threads = static_cast<int>(value.as_int());
+    request.num_threads = int_field(value, key, 0);  // 0 = hardware
   } else if (key == "subtree_split_depth") {
-    request.subtree_split_depth = static_cast<int>(value.as_int());
+    request.subtree_split_depth = int_field(value, key, 0);
   } else if (key == "use_cache") {
     request.use_cache = value.as_bool();
   } else if (key == "name_prefix") {
@@ -194,9 +202,9 @@ int frame_version(const Json& j) {
   if (tag == nullptr) {
     throw ServiceError(kErrBadFrame, "frame carries no 'isex' protocol version tag");
   }
-  int version = 0;
+  std::int64_t version = 0;
   try {
-    version = static_cast<int>(tag->as_int());
+    version = tag->as_int();
   } catch (const Error&) {
     throw ServiceError(kErrBadFrame, "'isex' version tag is not an integer");
   }
@@ -207,7 +215,7 @@ int frame_version(const Json& j) {
                            std::to_string(kMinServiceProtocolVersion) + " through " +
                            std::to_string(kServiceProtocolVersion) + ")");
   }
-  return version;
+  return static_cast<int>(version);
 }
 
 Json parse_frame_object(const std::string& line, const char* what) {
@@ -274,7 +282,6 @@ ExplorationRequest exploration_request_from_json(const Json& j) {
       throw ServiceError(kErrBadRequest,
                          "request: 'workload' and 'ir_text' are mutually exclusive");
     }
-    check_common_knobs(request);
     return request;
   });
 }
@@ -323,7 +330,9 @@ MultiExplorationRequest multi_exploration_request_from_json(const Json& j) {
     if (request.workloads.empty()) {
       throw ServiceError(kErrBadRequest, "request: portfolio needs at least one workload");
     }
-    check_common_knobs(request);
+    if (!(request.area_grid_macs > 0)) {
+      throw ServiceError(kErrBadRequest, "area_grid_macs must be > 0");
+    }
     return request;
   });
 }

@@ -102,7 +102,9 @@ TEST(EngineProperty, SubtreeSplitByteIdenticalAcrossThreadsAndDepths) {
       for (const int depth : {1, 3, 7}) {
         SearchEngineStats stats;
         const SingleCutResult split =
-            find_best_cut(g, kLat, c, CutSearchOptions{&pool, depth, &stats});
+            find_best_cut(g, kLat, c,
+                          CutSearchOptions{
+                              .executor = &pool, .split_depth = depth, .stats = &stats});
         expect_same_single(split, ref,
                            "seed " + std::to_string(seed) + " threads " +
                                std::to_string(threads) + " depth " + std::to_string(depth));
@@ -139,7 +141,8 @@ TEST(EngineProperty, LargeBlockSplitByteIdenticalToSerial) {
   ThreadPool pool(4);
   SearchEngineStats stats;
   const SingleCutResult split =
-      find_best_cut(g, kLat, c, CutSearchOptions{&pool, 8, &stats});
+      find_best_cut(g, kLat, c,
+                    CutSearchOptions{.executor = &pool, .split_depth = 8, .stats = &stats});
   expect_same_single(split, serial, "split vs serial");
   EXPECT_GT(stats.subtree_tasks.load(), 1u);
 }
@@ -195,7 +198,9 @@ TEST(SubtreeDonation, ByteIdenticalToSerialAndReferenceWithOneTaskSetPerDepth) {
         const std::string label = dc.label + " depth " + std::to_string(depth) +
                                   " threads " + std::to_string(threads);
         expect_same_single(
-            find_best_cut(dc.graph, kLat, dc.cons, CutSearchOptions{&pool, depth, &stats}),
+            find_best_cut(dc.graph, kLat, dc.cons,
+                          CutSearchOptions{
+                              .executor = &pool, .split_depth = depth, .stats = &stats}),
             serial, label);
         EXPECT_EQ(stats.split_searches.load(), 1u) << label;
         if (threads == 1) {
@@ -237,7 +242,7 @@ TEST(EngineProperty, DynamicWordWidthPathByteIdenticalToReference) {
   expect_same_single(fast, ref, "dynamic-width serial");
   ThreadPool pool(2);
   const SingleCutResult split =
-      find_best_cut(g, kLat, c, CutSearchOptions{&pool, 6, nullptr});
+      find_best_cut(g, kLat, c, CutSearchOptions{.executor = &pool, .split_depth = 6});
   expect_same_single(split, ref, "dynamic-width split");
 }
 
@@ -303,7 +308,7 @@ TEST(EngineProperty, SerialSearchesCountedWhenSplitDisabled) {
   c.max_inputs = 4;
   c.max_outputs = 2;
   SearchEngineStats stats;
-  (void)find_best_cut(g, kLat, c, CutSearchOptions{nullptr, 0, &stats});
+  (void)find_best_cut(g, kLat, c, CutSearchOptions{.stats = &stats});
   EXPECT_EQ(stats.serial_searches.load(), 1u);
   EXPECT_EQ(stats.split_searches.load(), 0u);
   EXPECT_EQ(stats.subtree_tasks.load(), 0u);

@@ -83,7 +83,8 @@ TEST(SearchBudget, CutsConsideredPinsExactlyAtTheCutoff) {
   for (const int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
     const SingleCutResult split =
-        find_best_cut(g, kLat, budgeted(budget), CutSearchOptions{&pool, 3, nullptr});
+        find_best_cut(g, kLat, budgeted(budget),
+                      CutSearchOptions{.executor = &pool, .split_depth = 3});
     EXPECT_TRUE(split.stats.budget_exhausted) << threads << " threads";
     // Subtree tasks share one atomic gate: the aggregate count is exact and
     // deterministic for every thread count (which cuts filled the budget —
@@ -152,7 +153,8 @@ TEST(SearchBudget, ExternalGateIsExactUnderSubtreeParallelism) {
     ThreadPool pool(threads);
     BudgetGate gate(budget);
     const SingleCutResult split =
-        find_best_cut(g, kLat, budgeted(0), CutSearchOptions{&pool, 3, nullptr, &gate});
+        find_best_cut(g, kLat, budgeted(0),
+                      CutSearchOptions{.executor = &pool, .split_depth = 3, .budget = &gate});
     EXPECT_TRUE(split.stats.budget_exhausted) << threads << " threads";
     EXPECT_EQ(split.stats.cuts_considered, budget) << threads << " threads";
     EXPECT_EQ(gate.consumed(), budget) << threads << " threads";
@@ -180,7 +182,9 @@ TEST(SearchBudget, ExternalGateIsExactUnderSubtreeParallelism) {
     BudgetGate gate(big_budget);
     SearchEngineStats stats;
     const SingleCutResult split =
-        find_best_cut(big, kLat, tight, CutSearchOptions{&pool, 1, &stats, &gate});
+        find_best_cut(big, kLat, tight,
+                      CutSearchOptions{
+                          .executor = &pool, .split_depth = 1, .stats = &stats, .budget = &gate});
     EXPECT_GT(stats.donated_tasks.load(), 0u) << threads << " threads";
     EXPECT_TRUE(split.stats.budget_exhausted) << threads << " threads";
     EXPECT_EQ(split.stats.cuts_considered, big_budget) << threads << " threads";
@@ -202,7 +206,8 @@ TEST(SearchBudget, RoomyBudgetLeavesEverythingByteIdentical) {
   for (const int threads : {2, 8}) {
     ThreadPool pool(threads);
     const SingleCutResult split =
-        find_best_cut(g, kLat, budgeted(roomy), CutSearchOptions{&pool, 3, nullptr});
+        find_best_cut(g, kLat, budgeted(roomy),
+                      CutSearchOptions{.executor = &pool, .split_depth = 3});
     // A budget that never exhausts keeps the split engine fully
     // deterministic: byte-identical to the serial run.
     EXPECT_FALSE(split.stats.budget_exhausted) << threads << " threads";

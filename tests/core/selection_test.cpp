@@ -254,7 +254,13 @@ TEST(RunContext, EverySchemeSelectsTheSameUnderAnyContext) {
     SearchEngineStats engine;
     BudgetGate gate(std::uint64_t{1} << 40);  // too large to run out
     CancelToken token;                          // never tripped
-    CutSearchOptions context{&pool, 3, &engine, &gate, &token, &cache, &cold};
+    CutSearchOptions context{.executor = &pool,
+                             .cache = &cache,
+                             .cache_counters = &cold,
+                             .split_depth = 3,
+                             .stats = &engine,
+                             .budget = &gate,
+                             .cancel = &token};
     EXPECT_EQ(digest(run(context)), plain) << name;
     EXPECT_GT(cold.misses, 0u) << name;
     EXPECT_GT(gate.consumed(), 0u) << name;

@@ -71,7 +71,7 @@ class BlockingScheme : public SelectionScheme {
   }
   PortfolioSelectionResult select(const SchemeInputs& inputs) const override {
     const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (inputs.cancel == nullptr || !inputs.cancel->expired()) {
+    while (inputs.search.cancel == nullptr || !inputs.search.cancel->expired()) {
       if (std::chrono::steady_clock::now() >= give_up) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }

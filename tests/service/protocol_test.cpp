@@ -4,7 +4,9 @@
 // the byte-identity checks are built on.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "service/protocol.hpp"
 
@@ -146,6 +148,95 @@ TEST(ServiceProtocol, FrameParsingMapsEveryFailureToItsCode) {
   expect_request_error(
       R"({"isex": 1, "id": "x", "type": "ping", "request": {}})",
       kErrBadRequest);  // ping carries no body
+}
+
+/// A v3 explore frame for fir whose request adds `fields` (JSON members).
+std::string explore_frame(const std::string& fields) {
+  return R"({"isex": 3, "id": "x", "type": "explore", "request": {"workload": "fir", )" +
+         fields + "}}";
+}
+
+/// A v3 explore-portfolio frame over fir whose request adds `fields`.
+std::string portfolio_frame(const std::string& fields) {
+  return R"({"isex": 3, "id": "x", "type": "explore-portfolio", )"
+         R"("request": {"workloads": [{"workload": "fir"}], )" +
+         fields + "}}";
+}
+
+TEST(ServiceProtocol, IntFieldsOutOfRangeAreBadRequestsNamingTheField) {
+  // Narrowed unchecked, 2^32 + 1 decoded as 1 and 2^32 + 2 as 2, and a
+  // num_threads of 2^32 + 1 then passed isexd's core-count bound. Values
+  // below a field's minimum are refused by the same check.
+  struct Case {
+    const char* field;
+    std::string json;
+    bool portfolio;  // also a field of explore-portfolio requests
+  };
+  const std::vector<Case> cases = {
+      {"num_instructions", R"("num_instructions": 4294967297)", true},
+      {"num_instructions", R"("num_instructions": -4294967295)", true},
+      {"num_instructions", R"("num_instructions": 0)", true},
+      {"num_threads", R"("num_threads": 4294967297)", true},
+      {"num_threads", R"("num_threads": -1)", true},
+      {"subtree_split_depth", R"("subtree_split_depth": 4294967297)", true},
+      {"subtree_split_depth", R"("subtree_split_depth": -1)", true},
+      {"constraints.max_inputs", R"("constraints": {"max_inputs": 4294967298})", true},
+      {"constraints.max_inputs", R"("constraints": {"max_inputs": 0})", true},
+      {"constraints.max_outputs", R"("constraints": {"max_outputs": 4294967297})", true},
+      {"constraints.max_outputs", R"("constraints": {"max_outputs": 0})", true},
+      {"area.num_instructions", R"("area": {"num_instructions": 4294967297})", false},
+  };
+  for (const Case& c : cases) {
+    std::vector<std::string> frames = {explore_frame(c.json)};
+    if (c.portfolio) frames.push_back(portfolio_frame(c.json));
+    for (const std::string& frame : frames) {
+      const std::string message = expect_request_error(frame, kErrBadRequest);
+      EXPECT_NE(message.find(c.field), std::string::npos) << message;
+    }
+  }
+  // The version tag narrows too: 2^32 + 1 is not version 1.
+  expect_request_error(R"({"isex": 4294967297, "id": "x", "type": "ping"})",
+                       kErrUnsupportedVersion);
+}
+
+TEST(ServiceProtocol, IntMaxStillDecodes) {
+  const RequestFrame frame = parse_request_frame(explore_frame(
+      R"("num_instructions": 2147483647, "subtree_split_depth": 2147483647, )"
+      R"("constraints": {"max_inputs": 2147483647, "max_outputs": 2147483647}, )"
+      R"("area": {"num_instructions": 2147483647})"));
+  ASSERT_TRUE(frame.single.has_value());
+  const int int_max = std::numeric_limits<int>::max();
+  EXPECT_EQ(frame.single->num_instructions, int_max);
+  EXPECT_EQ(frame.single->subtree_split_depth, int_max);
+  EXPECT_EQ(frame.single->constraints.max_inputs, int_max);
+  EXPECT_EQ(frame.single->constraints.max_outputs, int_max);
+  EXPECT_EQ(frame.single->area.num_instructions, int_max);
+  // The daemon, not the decoder, bounds num_threads by the host's cores.
+  const RequestFrame threads =
+      parse_request_frame(portfolio_frame(R"("num_threads": 2147483647)"));
+  ASSERT_TRUE(threads.portfolio.has_value());
+  EXPECT_EQ(threads.portfolio->num_threads, int_max);
+}
+
+TEST(ServiceProtocol, UnusableAreaValuesAreBadRequests) {
+  // Accepted unchecked, these failed an ISEX_CHECK inside the area scheme,
+  // and isexd answered `internal` with a source path in the message.
+  for (const char* json : {R"("area": {"area_grid_macs": 0})",
+                           R"("area": {"area_grid_macs": -0.5})",
+                           R"("area": {"max_area_macs": -1})"}) {
+    const std::string message = expect_request_error(explore_frame(json), kErrBadRequest);
+    EXPECT_NE(message.find("area."), std::string::npos) << message;
+  }
+  for (const char* json : {R"("max_area_macs": 1, "area_grid_macs": 0)",
+                           R"("area_grid_macs": -0.5)"}) {
+    const std::string message =
+        expect_request_error(portfolio_frame(json), kErrBadRequest);
+    EXPECT_NE(message.find("area_grid_macs"), std::string::npos) << message;
+  }
+  // Usable edges still decode: a zero area budget (selects nothing), and a
+  // negative joint budget on a portfolio ("no area budget").
+  EXPECT_NO_THROW(parse_request_frame(explore_frame(R"("area": {"max_area_macs": 0})")));
+  EXPECT_NO_THROW(parse_request_frame(portfolio_frame(R"("max_area_macs": -1)")));
 }
 
 TEST(ServiceProtocol, CorrelationIdSurvivesParseFailures) {

@@ -5,27 +5,17 @@
 #include "support/parallel.hpp"
 
 #include <gtest/gtest.h>
-#include <sys/resource.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <numeric>
 #include <thread>
 #include <vector>
 
+#include "address_space.hpp"
 #include "support/assert.hpp"
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define ISEX_UNDER_SANITIZER 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define ISEX_UNDER_SANITIZER 1
-#endif
-#endif
 
 namespace isex {
 namespace {
@@ -98,13 +88,6 @@ std::size_t live_threads() {
   return n;
 }
 
-/// Bytes of address space this process has mapped.
-std::size_t mapped_bytes() {
-  std::size_t pages = 0;
-  std::ifstream("/proc/self/statm") >> pages;
-  return pages * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-}
-
 TEST(ThreadPoolDeathTest, FailedSpawnThrowsAndJoinsTheStartedWorkers) {
 #ifdef ISEX_UNDER_SANITIZER
   GTEST_SKIP() << "sanitizer runtimes reserve more address space than the cap allows";
@@ -116,10 +99,7 @@ TEST(ThreadPoolDeathTest, FailedSpawnThrowsAndJoinsTheStartedWorkers) {
   EXPECT_EXIT(
       {
         const std::size_t before = live_threads();
-        rlimit cap{};
-        if (::getrlimit(RLIMIT_AS, &cap) != 0) std::_Exit(4);
-        cap.rlim_cur = mapped_bytes() + (64u << 20);
-        if (::setrlimit(RLIMIT_AS, &cap) != 0) std::_Exit(4);
+        if (!cap_address_space(std::size_t{64} << 20)) std::_Exit(4);
         try {
           ThreadPool pool(100000);
           std::_Exit(2);  // the cap never bit
