@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <memory>
+#include <optional>
 
 #include "afu/afu_builder.hpp"
 #include "emit/plan.hpp"
@@ -166,14 +167,16 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
   report.max_area_macs = area.max_area_macs;
   report.cache.enabled = run.use_cache;
 
-  // One cancel token for the whole run: the caller's (the service arms the
-  // job's token from the frame's deadline and lets the watchdog trip it), or
-  // a run-local one armed from the request's deadline_ms. Null when neither
-  // asks for cancellation — the default path carries no token at all.
+  // One cancel token for the whole run: the caller's (the service sets
+  // timers on the job's token), or a run-local one that a timer trips at the
+  // request's deadline_ms. Null when neither asks for cancellation — the
+  // default path carries no token and starts no thread.
   CancelToken deadline_token;
+  std::optional<DeadlineTimer> deadline;
   CancelToken* cancel = hooks.cancel;
   if (cancel == nullptr && run.deadline_ms > 0) {
-    deadline_token.arm_deadline_ms(run.deadline_ms);
+    deadline.emplace(deadline_token, Clock::now() + std::chrono::milliseconds(run.deadline_ms),
+                     kReasonDeadlineExceeded);
     cancel = &deadline_token;
   }
 
@@ -225,11 +228,6 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
     data.set("extract_ms", report.timings.extract_ms);
     notify(hooks, "extracted", std::move(data));
   }
-  // Phase boundary: a deadline that expired during extraction trips the
-  // token now, so the searches below exit on their first poll instead of
-  // waiting out a full clock stride.
-  if (cancel != nullptr) cancel->expired();
-
   // --- joint identification + selection ------------------------------------
   const auto t_identify = Clock::now();
   std::unique_ptr<ThreadPool> pool;
@@ -256,7 +254,7 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
   selection = scheme.select(inputs);
   // An exploration report lists one instruction per serving instance.
   if (exploration) selection = portfolio_from_single(portfolio_to_single(selection), 1.0);
-  if (cancel != nullptr && (cancel->expired() || cancel->cancelled())) {
+  if (cancel != nullptr && cancel->cancelled()) {
     report.partial = true;
     report.partial_reason = cancel->reason();
   }

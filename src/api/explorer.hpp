@@ -93,8 +93,9 @@ struct RunHooks {
   /// inside every identification search and at phase boundaries; a tripped
   /// token yields a best-so-far report flagged partial (reason attached)
   /// instead of an error, and suppresses artifact emission. The service's
-  /// watchdog and per-job deadlines cancel through this. When set it takes
-  /// precedence over request.deadline_ms — arm the deadline on the token.
+  /// per-job deadline and ceiling cancel through this. When set it takes
+  /// precedence over request.deadline_ms — set a DeadlineTimer on the token
+  /// instead.
   CancelToken* cancel = nullptr;
 };
 

@@ -77,13 +77,15 @@ struct RunOptions {
   /// report.cache records what the cache did.
   bool use_cache = true;
 
-  /// Wall-clock deadline for the whole run in milliseconds (0 = none).
-  /// When it expires mid-run the identification searches stop at their next
+  /// Wall-clock deadline for the whole run in milliseconds (0 = none),
+  /// counted from the start of the run. A DeadlineTimer trips a run-local
+  /// token when it expires: the identification searches stop at their next
   /// poll, the report returns the best-so-far selection flagged
   /// `partial: true` with partial_reason "deadline_exceeded", artifact
   /// emission is skipped, and nothing partial is stored in the shared
   /// ResultCache. Ignored when the caller supplies RunHooks::cancel (the
-  /// service arms the job's own token from the frame's deadline instead).
+  /// service sets the frame's deadline as a timer on the job's own token
+  /// instead).
   std::uint64_t deadline_ms = 0;
 
   /// Artifact emission and rewrite verification, resolved against the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -23,28 +24,42 @@ std::vector<std::size_t> knapsack_select_indices(std::span<const double> values,
   ISEX_CHECK(max_count >= 1, "need at least one instruction slot");
   ISEX_CHECK(area_grid_macs > 0, "area grid must be positive");
 
-  const auto grid = [&](double area) {
-    return static_cast<int>(std::ceil(area / area_grid_macs - 1e-12));
+  // Grid cells count in 64 bits and saturate, so no budget wraps.
+  constexpr auto kMaxCells = std::numeric_limits<std::int64_t>::max();
+  const auto grid = [&](double area) -> std::int64_t {
+    const double cells = std::ceil(area / area_grid_macs - 1e-12);
+    if (cells >= static_cast<double>(kMaxCells)) return kMaxCells;
+    return std::max<std::int64_t>(0, static_cast<std::int64_t>(cells));
   };
-  const int capacity = std::max(0, grid(max_area_macs));
   const std::size_t n = values.size();
-  // Past n items every dp row is saturated: the cap keeps the selection and
-  // sizes the table by the items, not by Ninstr.
+  // Every subset fits in the items' summed area, so a larger budget selects
+  // the same, and past n items every dp row is saturated: both caps keep
+  // the selection and size the table by the items, not by the budget or
+  // Ninstr.
+  std::int64_t total_cells = 0;
+  for (const double area : areas) {
+    const std::int64_t cells = grid(area);
+    total_cells = cells > kMaxCells - total_cells ? kMaxCells : total_cells + cells;
+  }
+  const std::int64_t capacity = std::min(grid(max_area_macs), total_cells);
   max_count = static_cast<int>(std::min<std::size_t>(max_count, n));
 
   // dp[i][w][k] = best value from the first i items with area weight <= w
   // and <= k instructions. Full staged table for exact reconstruction.
   const std::size_t ws = static_cast<std::size_t>(capacity) + 1;
   const std::size_t ks = static_cast<std::size_t>(max_count) + 1;
-  std::vector<double> dp((n + 1) * ws * ks, 0.0);
-  const auto at = [&](std::size_t i, int w, int k) -> double& {
+  std::vector<double> dp;
+  ISEX_CHECK(ws <= dp.max_size() / ((n + 1) * ks),
+             "area_grid_macs is too fine for the candidates' areas");
+  dp.assign((n + 1) * ws * ks, 0.0);
+  const auto at = [&](std::size_t i, std::int64_t w, int k) -> double& {
     return dp[(i * ws + static_cast<std::size_t>(w)) * ks + static_cast<std::size_t>(k)];
   };
 
   for (std::size_t i = 1; i <= n; ++i) {
-    const int w_i = grid(areas[i - 1]);
+    const std::int64_t w_i = grid(areas[i - 1]);
     const double v_i = values[i - 1];
-    for (int w = 0; w <= capacity; ++w) {
+    for (std::int64_t w = 0; w <= capacity; ++w) {
       for (int k = 0; k <= max_count; ++k) {
         double best = at(i - 1, w, k);
         if (w >= w_i && k >= 1) {
@@ -55,7 +70,7 @@ std::vector<std::size_t> knapsack_select_indices(std::span<const double> values,
     }
   }
 
-  int w = capacity;
+  std::int64_t w = capacity;
   int k = max_count;
   std::vector<bool> selected(n, false);
   for (std::size_t i = n; i >= 1; --i) {

@@ -7,12 +7,7 @@ namespace isex {
 // --- ServiceJob -------------------------------------------------------------
 
 ServiceJob::ServiceJob(RequestFrame frame, std::uint64_t fingerprint)
-    : frame_(std::move(frame)), fingerprint_(fingerprint) {
-  // Armed before the job is shared with any worker thread (arm_deadline_ms
-  // is pre-share-only); the clock starts at admission, so queue wait counts
-  // against the deadline.
-  if (frame_.deadline_ms > 0) cancel_.arm_deadline_ms(frame_.deadline_ms);
-}
+    : frame_(std::move(frame)), fingerprint_(fingerprint) {}
 
 void ServiceJob::publish(const std::string& event, const Json& data) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -154,28 +149,14 @@ ServiceJobPtr AdmissionQueue::next_job() {
 
   ServiceJobPtr job = std::move(queue_.front());
   queue_.pop_front();
-  running_.emplace(job, std::chrono::steady_clock::now());
+  ++running_;
   return job;
 }
 
 void AdmissionQueue::finish(const ServiceJobPtr& job) {
   std::lock_guard<std::mutex> lock(mu_);
   index_.erase(job->fingerprint());
-  running_.erase(job);
-}
-
-std::size_t AdmissionQueue::cancel_overrunning(std::uint64_t max_ms,
-                                               const std::string& reason) {
-  const auto cutoff = std::chrono::steady_clock::now() - std::chrono::milliseconds(max_ms);
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t cancelled = 0;
-  for (const auto& [job, started] : running_) {
-    if (started <= cutoff && !job->cancel().cancelled()) {
-      job->cancel().cancel(reason);
-      ++cancelled;
-    }
-  }
-  return cancelled;
+  --running_;
 }
 
 void AdmissionQueue::drain() {
@@ -192,7 +173,7 @@ void AdmissionQueue::close() {
 
 bool AdmissionQueue::idle() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return queue_.empty() && running_.empty();
+  return queue_.empty() && running_ == 0;
 }
 
 std::size_t AdmissionQueue::depth() const {

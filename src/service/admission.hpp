@@ -13,9 +13,11 @@
 //     report/error is recorded on the job and replayed, so every subscriber
 //     always gets exactly one terminal event).
 //
-// A worker dispatch takes exactly one job, stamped when it starts, so the
-// watchdog charges each job for its own run time only. Jobs share work
-// through the process-wide result store, not through the dispatch.
+// A worker dispatch takes exactly one job. Each job carries its admission
+// time and a cancel token; the daemon sets its timers on that token (the
+// frame's deadline counted from admission, the operator's ceiling from
+// dispatch), so the queue itself keeps no clock. Jobs share work through the
+// process-wide result store, not through the dispatch.
 //
 // The queue knows nothing about sockets: subscribers are EventSinks, and a
 // sink returning false (client gone) is dropped from the job. Workers call
@@ -66,10 +68,12 @@ class ServiceJob {
   const RequestFrame& frame() const { return frame_; }
   std::uint64_t fingerprint() const { return fingerprint_; }
 
-  /// The job's cancellation token, armed from the frame's deadline_ms at
-  /// construction (queue wait counts against the deadline — an expired
-  /// request must not start burning CPU). The worker threads it into the
-  /// run as RunHooks::cancel; the watchdog cancels it on overrun.
+  /// When the job was admitted: the frame's deadline_ms counts from here,
+  /// so queue wait counts against it.
+  std::chrono::steady_clock::time_point admitted() const { return admitted_; }
+
+  /// The job's cancellation token. The worker sets its deadline timers on
+  /// it and threads it into the run as RunHooks::cancel.
   CancelToken& cancel() { return cancel_; }
 
   /// Publishes a phase event to every live subscriber (each under its own
@@ -91,6 +95,7 @@ class ServiceJob {
  private:
   const RequestFrame frame_;
   const std::uint64_t fingerprint_;
+  const std::chrono::steady_clock::time_point admitted_ = std::chrono::steady_clock::now();
   CancelToken cancel_;
 
   mutable std::mutex mu_;
@@ -125,20 +130,13 @@ class AdmissionQueue {
   /// no work).
   AdmissionResult submit(RequestFrame frame, std::string id, EventSinkPtr sink);
 
-  /// Blocks until work is available and returns the head job, stamped as
-  /// started now. Null means the queue was closed — the worker should exit.
+  /// Blocks until work is available and returns the head job. Null means
+  /// the queue was closed — the worker should exit.
   ServiceJobPtr next_job();
 
   /// Marks a dispatched job complete: its fingerprint leaves the dedup
   /// index, so identical future frames recompute (typically a cache hit).
   void finish(const ServiceJobPtr& job);
-
-  /// Cancels (with `reason`) every dispatched-but-unfinished job that has
-  /// been running longer than `max_ms`. Cooperative: the worker notices at
-  /// its next cancellation poll and terminates the job with a partial
-  /// report. Returns how many jobs were newly cancelled. The daemon's
-  /// watchdog thread calls this periodically.
-  std::size_t cancel_overrunning(std::uint64_t max_ms, const std::string& reason);
 
   /// Stops admitting (submit → shutting-down) while letting queued and
   /// in-flight jobs complete; idle() turning true then means the drain is
@@ -159,9 +157,8 @@ class AdmissionQueue {
   std::deque<ServiceJobPtr> queue_;
   /// Dedup index over queued + in-flight jobs.
   std::unordered_map<std::uint64_t, ServiceJobPtr> index_;
-  /// Dispatched-but-unfinished jobs with their start stamps (the
-  /// watchdog's scan set).
-  std::unordered_map<ServiceJobPtr, std::chrono::steady_clock::time_point> running_;
+  /// Dispatched-but-unfinished jobs.
+  std::size_t running_ = 0;
   bool draining_ = false;
   bool closed_ = false;
 };

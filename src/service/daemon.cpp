@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
+#include <optional>
 
 #include "core/search_tables.hpp"
 #include "support/fault_injection.hpp"
@@ -95,6 +96,9 @@ class IsexDaemon::Connection {
 
 namespace {
 
+/// The partial reason of a job the max_request_ms ceiling cancelled.
+constexpr const char* kReasonWatchdog = "watchdog";
+
 /// The data of an `error` event: code, message and the machine-readable
 /// details (e.g. queue-full's retry_after_ms) next to them.
 Json error_data(const ServiceError& e) {
@@ -120,8 +124,6 @@ IsexDaemon::~IsexDaemon() {
   // destroyed without serving (e.g. a test that only constructs it).
   queue_.close();
   for (auto& w : workers_) w.join();
-  watchdog_stop_.store(true, std::memory_order_relaxed);
-  if (watchdog_.joinable()) watchdog_.join();
   reap_connections(/*join_all=*/true);
 }
 
@@ -130,10 +132,6 @@ void IsexDaemon::serve() {
   for (int i = 0; i < num_workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
-  if (config_.max_request_ms > 0 && !watchdog_.joinable()) {
-    watchdog_ = std::thread([this] { watchdog_loop(); });
-  }
-
   while (!stop_.load(std::memory_order_relaxed)) {
     FdHandle client;
     try {
@@ -159,9 +157,9 @@ void IsexDaemon::serve() {
   }
 
   // Graceful drain: stop accepting, refuse new submissions, let admitted
-  // work publish its results, then tear down readers and persist. The
-  // watchdog keeps running through the drain — an overrunning job must not
-  // stall shutdown past its ceiling.
+  // work publish its results, then tear down readers and persist. Each
+  // job's ceiling timer still runs — an overrunning job must not stall
+  // shutdown past its ceiling.
   listener_.reset();
   queue_.drain();
   while (!queue_.idle()) {
@@ -170,22 +168,8 @@ void IsexDaemon::serve() {
   queue_.close();
   for (auto& w : workers_) w.join();
   workers_.clear();
-  watchdog_stop_.store(true, std::memory_order_relaxed);
-  if (watchdog_.joinable()) watchdog_.join();
   reap_connections(/*join_all=*/true);
   snapshot_store();
-}
-
-void IsexDaemon::watchdog_loop() {
-  while (!watchdog_stop_.load(std::memory_order_relaxed)) {
-    const std::size_t cancelled =
-        queue_.cancel_overrunning(config_.max_request_ms, "watchdog");
-    if (cancelled > 0) {
-      std::fprintf(stderr, "isexd: watchdog cancelled %zu job(s) running past %llu ms\n",
-                   cancelled, static_cast<unsigned long long>(config_.max_request_ms));
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
 }
 
 void IsexDaemon::snapshot_store() {
@@ -211,9 +195,25 @@ void IsexDaemon::worker_loop() {
 
 std::pair<std::string, Json> IsexDaemon::run_job(const ServiceJobPtr& job) {
   const RequestFrame& frame = job->frame();
+  CancelToken& token = job->cancel();
   try {
     if (FaultInjector::instance().should_fail("worker-dispatch")) {
       throw Error("injected fault: worker-dispatch");
+    }
+    // Deadline and ceiling are timers on the job's token: the frame's
+    // deadline counts from admission (an expired request must not start
+    // burning CPU), the operator's ceiling from now. A time already past
+    // trips the token before the run starts.
+    std::optional<DeadlineTimer> deadline, ceiling;
+    if (frame.deadline_ms > 0) {
+      deadline.emplace(token, job->admitted() + std::chrono::milliseconds(frame.deadline_ms),
+                       kReasonDeadlineExceeded);
+    }
+    if (config_.max_request_ms > 0) {
+      ceiling.emplace(token,
+                      std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(config_.max_request_ms),
+                      kReasonWatchdog);
     }
     Explorer explorer(config_.latency, store_->cache(), config_.registry);
     // Per-request budget: every identification search of this job draws on
@@ -225,11 +225,9 @@ std::pair<std::string, Json> IsexDaemon::run_job(const ServiceJobPtr& job) {
       job->publish(phase, data);
     };
     if (frame.search_budget > 0) hooks.budget_gate = &gate;
-    // Deadline + watchdog channel: the job's token (armed from the frame's
-    // deadline_ms at admission) rides into the engines through the hooks; a
-    // token that never fires leaves the run byte-identical to an unhooked
-    // one.
-    hooks.cancel = &job->cancel();
+    // The job's token rides into the engines through the hooks; a token
+    // that never fires leaves the run byte-identical to an unhooked one.
+    hooks.cancel = &token;
 
     Json data = Json::object();
     data.set("kind", std::string(frame.single.has_value() ? "exploration" : "portfolio"));
@@ -245,6 +243,10 @@ std::pair<std::string, Json> IsexDaemon::run_job(const ServiceJobPtr& job) {
     }
     store_->note_activity();
     data.set("store", store_->status());
+    if (token.reason() == kReasonWatchdog) {
+      std::fprintf(stderr, "isexd: watchdog cancelled a job running past %llu ms\n",
+                   static_cast<unsigned long long>(config_.max_request_ms));
+    }
     return {"report", std::move(data)};
   } catch (const ServiceError& e) {
     return {"error", error_data(e)};

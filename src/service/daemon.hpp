@@ -12,7 +12,9 @@
 //   * `num_workers` worker threads take one job at a time from
 //     AdmissionQueue::next_job() and run it through a fresh Explorer over
 //     the shared cache, publishing phase events and one terminal
-//     report/error per job.
+//     report/error per job;
+//   * a running job with a deadline_ms or under max_request_ms has one
+//     DeadlineTimer thread for each, tripping the job's CancelToken.
 //
 // Failure containment: a malformed frame — including one asking for more
 // identification threads than the host has cores — produces one structured
@@ -60,11 +62,11 @@ struct DaemonConfig {
   /// Clamp applied to per-request `search_budget` values (0 = no clamp):
   /// an operator ceiling on how much enumeration one client may buy.
   std::uint64_t max_search_budget = 0;
-  /// Watchdog ceiling on one request's wall-clock run time in milliseconds
-  /// (0 = no watchdog). A dedicated thread cancels overrunning jobs
-  /// cooperatively (reason "watchdog"); they answer with a `partial: true`
-  /// report, and the worker moves on. Protects the pool from pathological
-  /// kernels that a client submitted without a deadline.
+  /// Ceiling on one request's wall-clock run time in milliseconds, counted
+  /// from dispatch (0 = none). A DeadlineTimer on the job's token cancels
+  /// an overrunning job cooperatively (reason "watchdog"); it answers with a
+  /// `partial: true` report, and the worker moves on. Protects the pool from
+  /// pathological kernels that a client submitted without a deadline.
   std::uint64_t max_request_ms = 0;
   /// Store persistence (empty = in-memory only) and cache sizing.
   std::string cache_file;
@@ -105,10 +107,6 @@ class IsexDaemon {
   class Connection;
 
   void worker_loop();
-  /// Watchdog thread body: periodically cancels jobs running past
-  /// config_.max_request_ms. Runs through the graceful drain (an
-  /// overrunning job must not stall shutdown forever).
-  void watchdog_loop();
   /// Runs one job and returns its terminal ("report"/"error", payload).
   /// The caller publishes it *after* closing the job's dedup window, so a
   /// client that saw the terminal can never re-attach to the finished run.
@@ -132,8 +130,6 @@ class IsexDaemon {
   /// Largest request.num_threads admitted: the host's core count.
   const int max_request_threads_;
   std::atomic<bool> stop_{false};
-  std::atomic<bool> watchdog_stop_{false};
-  std::thread watchdog_;
 
   std::mutex conns_mu_;
   std::vector<std::shared_ptr<Connection>> conns_;

@@ -136,9 +136,10 @@ struct RequestFrame {
   /// search of the request.
   std::uint64_t search_budget = 0;
   /// Per-request wall-clock deadline in milliseconds (0 = none; needs
-  /// protocol version >= 3): the daemon arms a CancelToken at admission and
-  /// the engines stop cooperatively when it fires, answering with a
-  /// `partial: true` report instead of an error.
+  /// protocol version >= 3), counted from admission so queue wait counts:
+  /// a DeadlineTimer trips the job's CancelToken when it expires and the
+  /// engines stop cooperatively, answering with a `partial: true` report
+  /// instead of an error.
   std::uint64_t deadline_ms = 0;
   std::optional<ExplorationRequest> single;
   std::optional<MultiExplorationRequest> portfolio;

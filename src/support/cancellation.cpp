@@ -1,5 +1,8 @@
 #include "support/cancellation.hpp"
 
+#include <condition_variable>
+#include <utility>
+
 namespace isex {
 
 void CancelToken::cancel(const std::string& reason) {
@@ -15,36 +18,25 @@ std::string CancelToken::reason() const {
   return reason_;
 }
 
-void CancelToken::arm_deadline_ms(std::uint64_t ms) {
-  armed_ = ms != 0;
-  if (armed_) {
-    deadline_ = std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-  }
+bool CancelToken::count_poll() {
+  if (polls_.fetch_add(1, std::memory_order_relaxed) + 1 < trip_after_) return false;
+  cancel("trip_after");
+  return true;
 }
 
-bool CancelToken::expired() {
-  if (flag_.load(std::memory_order_acquire)) return true;
-  if (armed_ && std::chrono::steady_clock::now() >= deadline_) {
-    cancel(kReasonDeadlineExceeded);
-    return true;
+DeadlineTimer::DeadlineTimer(CancelToken& token, std::chrono::steady_clock::time_point at,
+                             std::string reason) {
+  if (std::chrono::steady_clock::now() >= at) {
+    token.cancel(reason);
+    return;
   }
-  return false;
-}
-
-bool CancelToken::poll() {
-  if (flag_.load(std::memory_order_acquire)) return true;
-  if (trip_after_ == 0 && !armed_) return false;
-  const std::uint64_t n = polls_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (trip_after_ != 0 && n >= trip_after_) {
-    cancel("trip_after");
-    return true;
-  }
-  if (armed_ && n % kPollStride == 0 &&
-      std::chrono::steady_clock::now() >= deadline_) {
-    cancel(kReasonDeadlineExceeded);
-    return true;
-  }
-  return false;
+  thread_ = std::jthread([&token, at, reason = std::move(reason)](std::stop_token stop) {
+    std::mutex mu;
+    std::condition_variable_any wake;
+    std::unique_lock<std::mutex> lock(mu);
+    wake.wait_until(lock, stop, at, [] { return false; });
+    if (!stop.stop_requested()) token.cancel(reason);
+  });
 }
 
 }  // namespace isex

@@ -2,15 +2,15 @@
 // fires changes nothing, a token that fires mid-search yields a best-so-far
 // report flagged partial while leaving the shared ResultCache byte-identical
 // to a request that never ran — across thread counts and subtree splits —
-// and a cancelled run never poisons later cache hits. All trips use the
-// deterministic trip_after_polls seam, so nothing here depends on timing.
+// and a cancelled run never poisons later cache hits. Mid-search trips use
+// the deterministic trip_after_polls seam; the deadline cases use a time
+// already past, or a 50 ms deadline on a search that runs far longer.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/explorer.hpp"
@@ -255,8 +255,7 @@ TEST(CancellationPurity, AlreadyExpiredDeadlineYieldsAPartialReportAndAPureCache
   const std::string never_run = cache->to_json().dump();
 
   CancelToken token;
-  token.arm_deadline_ms(1);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const DeadlineTimer expired(token, std::chrono::steady_clock::now(), kReasonDeadlineExceeded);
   RunHooks hooks;
   hooks.cancel = &token;
   const ExplorationReport report =
@@ -265,6 +264,48 @@ TEST(CancellationPurity, AlreadyExpiredDeadlineYieldsAPartialReportAndAPureCache
   EXPECT_TRUE(report.partial);
   EXPECT_EQ(report.partial_reason, kReasonDeadlineExceeded);
   EXPECT_EQ(cache->to_json().dump(), never_run);
+}
+
+TEST(CancellationPurity, RequestDeadlineCutsALongSearchShortAndLeavesTheCachePure) {
+  // The Fig. 8 synthetic tail random<140,187180>: Iterative at 6/3 counts
+  // ~74M cuts on it, and its first search alone 20M, which takes a 4-vCPU
+  // host ~240 ms on one thread.
+  RandomDagConfig cfg;
+  cfg.num_ops = 140;
+  cfg.num_inputs = 6;
+  cfg.avg_fanin = 1.9;
+  cfg.forbidden_fraction = 0.05;
+  cfg.seed = 140 * 1337;
+  const std::vector<Dfg> blocks{random_dag(cfg)};
+  ExplorationRequest request;
+  request.constraints = cons(6, 3);
+  request.scheme = "iterative";
+  request.num_threads = 1;
+  request.subtree_split_depth = 10;
+
+  // No caller token: the run's own timer trips a run-local one before the
+  // first search completes, so nothing reaches the memo.
+  auto cache = std::make_shared<ResultCache>();
+  const Explorer explorer(kLat, cache);
+  const std::string never_run = cache->to_json().dump();
+  request.deadline_ms = 50;
+  const ExplorationReport cut_short = explorer.run_blocks(blocks, request);
+  EXPECT_TRUE(cut_short.partial);
+  EXPECT_EQ(cut_short.partial_reason, kReasonDeadlineExceeded);
+  EXPECT_LT(cut_short.stats.cuts_considered, 20'000'000u);
+  EXPECT_EQ(cache->to_json().dump(), never_run);
+
+  // A deadline that never fires changes nothing but the timings (on four
+  // threads, to keep the two full searches short).
+  request.num_threads = 4;
+  request.deadline_ms = 3'600'000;
+  const ExplorationReport hour =
+      Explorer(kLat, std::make_shared<ResultCache>()).run_blocks(blocks, request);
+  request.deadline_ms = 0;
+  const ExplorationReport plain =
+      Explorer(kLat, std::make_shared<ResultCache>()).run_blocks(blocks, request);
+  EXPECT_FALSE(hour.partial);
+  EXPECT_EQ(comparable(hour.to_json()).dump(), comparable(plain.to_json()).dump());
 }
 
 TEST(CancellationPurity, CancelledRunsNeverPoisonLaterCacheHits) {

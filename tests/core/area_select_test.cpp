@@ -112,5 +112,14 @@ TEST(AreaSelect, MonotoneInBudget) {
   }
 }
 
+TEST(AreaSelect, AGridTooFineToTabulateIsAnErrorNotAWrappedTable) {
+  // At a 1e-300-MAC grid the cell counts saturate at 2^63 - 1, so the
+  // table's size would wrap past SIZE_MAX to a short table; the knapsack
+  // refuses instead.
+  const std::vector<double> values{3.0};
+  const std::vector<double> areas{0.5};
+  EXPECT_THROW(knapsack_select_indices(values, areas, 1.0, 1e-300, 1), Error);
+}
+
 }  // namespace
 }  // namespace isex

@@ -1,7 +1,8 @@
 // Deadlines through the service stack: the protocol-v3 `deadline_ms` frame
-// field, the daemon arming a per-job CancelToken at admission, partial
-// reports for expired requests while other clients keep being served, the
-// watchdog ceiling on overrunning jobs, and the queue-full load-shed hint.
+// field, the daemon's timers on a per-job CancelToken (the deadline counted
+// from admission, the max_request_ms ceiling from dispatch), partial reports
+// for expired requests while other clients keep being served, and the
+// queue-full load-shed hint.
 // The slow job is simulated with a registered scheme that blocks until its
 // cancel token fires, so nothing here depends on a kernel being slow enough.
 #include <gtest/gtest.h>
@@ -71,7 +72,7 @@ class BlockingScheme : public SelectionScheme {
   }
   PortfolioSelectionResult select(const SchemeInputs& inputs) const override {
     const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (inputs.search.cancel == nullptr || !inputs.search.cancel->expired()) {
+    while (inputs.search.cancel == nullptr || !inputs.search.cancel->cancelled()) {
       if (std::chrono::steady_clock::now() >= give_up) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -250,6 +251,46 @@ TEST(ServiceDeadlineDaemon, WatchdogTimesEveryQueuedJobFromItsOwnStart) {
   const auto gap = std::chrono::duration_cast<std::chrono::milliseconds>(
       finished.at(second_id) - finished.at(first_id));
   EXPECT_GE(gap.count(), 150) << "the second queued job was cancelled before it ran";
+}
+
+TEST(ServiceDeadlineDaemon, QueueWaitCountsAgainstTheDeadline) {
+  DaemonConfig config = base_config("dlq");
+  config.num_workers = 1;
+  config.max_request_ms = 300;
+  config.registry = blocking_registry();
+  DaemonRunner runner(config);
+
+  // The only worker is held for 300 ms by a job the ceiling ends...
+  IsexClient client(runner.socket());
+  RequestFrame head;
+  head.type = "explore";
+  head.single = request_for("fir", "blocking");
+  const std::string head_id = client.send_frame(std::move(head));
+  while (true) {
+    const std::optional<EventFrame> event = client.read_event();
+    ASSERT_TRUE(event.has_value()) << "stream ended before the head job started";
+    if (event->id == head_id && event->event == "extracted") break;
+  }
+  // ...while a request whose search takes a few milliseconds waits behind it
+  // with a 50 ms deadline. The deadline counts from admission, so it has
+  // passed by the time the worker takes the request.
+  ExplorationRequest late = request_for("crc32", "iterative");
+  late.use_cache = false;
+  RequestFrame frame;
+  frame.type = "explore";
+  frame.deadline_ms = 50;
+  frame.single = late;
+  const std::string late_id = client.send_frame(std::move(frame));
+
+  std::string head_reason;
+  const Json payload = client.collect_report(late_id, [&](const EventFrame& event) {
+    if (event.id == head_id && event.event == "report") {
+      head_reason = event.data.at("report").at("partial_reason").as_string();
+    }
+  });
+  EXPECT_EQ(head_reason, "watchdog");
+  EXPECT_TRUE(payload.at("report").at("partial").as_bool());
+  EXPECT_EQ(payload.at("report").at("partial_reason").as_string(), kReasonDeadlineExceeded);
 }
 
 TEST(ServiceDeadlineDaemon, QueueFullShedsLoadWithARetryAfterHint) {

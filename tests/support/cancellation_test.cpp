@@ -1,7 +1,7 @@
 // The cooperative-cancellation primitive and the deterministic fault
-// injector: set-once cancel semantics, deadline arming, the poll() cadence
-// the search engines rely on, and the ISEX_FAULTS spec grammar with its
-// reproducible failure sequences.
+// injector: set-once cancel semantics, the poll() seam the search engines
+// rely on, the deadline timer that trips a token, and the ISEX_FAULTS spec
+// grammar with its reproducible failure sequences.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -30,7 +30,6 @@ TEST(CancelToken, CancelIsSetOnceAndSticky) {
   token.cancel("deadline_exceeded");
   EXPECT_EQ(token.reason(), "watchdog");
   EXPECT_TRUE(token.poll());
-  EXPECT_TRUE(token.expired());
 }
 
 TEST(CancelToken, CancelWithoutAReasonGetsTheGenericOne) {
@@ -43,28 +42,7 @@ TEST(CancelToken, CancelWithoutAReasonGetsTheGenericOne) {
 TEST(CancelToken, UnarmedTokensNeverTrip) {
   CancelToken token;
   for (int i = 0; i < 1000; ++i) EXPECT_FALSE(token.poll());
-  EXPECT_FALSE(token.expired());
-  EXPECT_FALSE(token.has_deadline());
   EXPECT_FALSE(token.cancelled());
-}
-
-TEST(CancelToken, DeadlineTripsThroughExpiredWithTheCanonicalReason) {
-  CancelToken token;
-  token.arm_deadline_ms(1);
-  EXPECT_TRUE(token.has_deadline());
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_TRUE(token.expired());
-  EXPECT_TRUE(token.cancelled());
-  EXPECT_EQ(token.reason(), kReasonDeadlineExceeded);
-}
-
-TEST(CancelToken, DisarmingZeroClearsTheDeadline) {
-  CancelToken token;
-  token.arm_deadline_ms(1);
-  token.arm_deadline_ms(0);
-  EXPECT_FALSE(token.has_deadline());
-  std::this_thread::sleep_for(std::chrono::milliseconds(3));
-  EXPECT_FALSE(token.expired());
 }
 
 TEST(CancelToken, TripAfterPollsIsExactlyDeterministic) {
@@ -76,18 +54,46 @@ TEST(CancelToken, TripAfterPollsIsExactlyDeterministic) {
   EXPECT_TRUE(token.poll());  // and it stays tripped
 }
 
-TEST(CancelToken, PollChecksTheDeadlineClockOnTheStride) {
-  // poll() is the hot-loop check: it only consults the clock every
-  // kPollStride calls, so an already-expired deadline trips on the first
-  // stride boundary — deterministically poll number kPollStride.
+// --- deadline timer ----------------------------------------------------------
+
+using SteadyClock = std::chrono::steady_clock;
+
+TEST(DeadlineTimer, TripsTheTokenWithItsReasonWhenTheTimeComes) {
   CancelToken token;
-  token.arm_deadline_ms(1);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  for (std::uint64_t i = 1; i < CancelToken::kPollStride; ++i) {
-    EXPECT_FALSE(token.poll()) << "poll " << i;
+  const DeadlineTimer timer(token, SteadyClock::now() + std::chrono::milliseconds(20),
+                            kReasonDeadlineExceeded);
+  // The timer's own thread trips the token; a poller only ever reads the
+  // flag. The bound is a safety net for a wedged timer, not a timing claim.
+  const auto give_up = SteadyClock::now() + std::chrono::seconds(20);
+  while (!token.poll() && SteadyClock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_TRUE(token.poll());
+  EXPECT_TRUE(token.cancelled());
   EXPECT_EQ(token.reason(), kReasonDeadlineExceeded);
+}
+
+TEST(DeadlineTimer, ATimeAlreadyPastTripsTheTokenInTheConstructor) {
+  CancelToken token;
+  const DeadlineTimer timer(token, SteadyClock::now() - std::chrono::milliseconds(1),
+                            "watchdog");
+  EXPECT_TRUE(token.cancelled());
+  EXPECT_EQ(token.reason(), "watchdog");
+}
+
+TEST(DeadlineTimer, ATimerDestroyedBeforeItsTimeNeverTripsTheToken) {
+  CancelToken token;
+  const auto start = SteadyClock::now();
+  {
+    const DeadlineTimer far(token, start + std::chrono::hours(1), kReasonDeadlineExceeded);
+    const DeadlineTimer near(token, start + std::chrono::milliseconds(200),
+                             kReasonDeadlineExceeded);
+  }
+  // Destruction wakes the waiting threads instead of sleeping out the hour,
+  // and the near timer's time passes with nothing left to trip the token.
+  EXPECT_LT(SteadyClock::now() - start, std::chrono::milliseconds(200));
+  std::this_thread::sleep_until(start + std::chrono::milliseconds(400));
+  EXPECT_FALSE(token.cancelled());
+  EXPECT_TRUE(token.reason().empty());
 }
 
 // --- fault injector ---------------------------------------------------------
