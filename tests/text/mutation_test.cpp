@@ -5,13 +5,22 @@
 // layer) is the bug class this test exists to catch. The same property is
 // fuzzed continuously by fuzz/parse_module_fuzzer.cpp when built with
 // ISEX_BUILD_FUZZERS.
+//
+// Which error a corrupted document earns is pinned too: every seed's
+// outcome (the reprint's hash, or the ParseError's line, column, expected
+// construct and message) folds into one digest per base document. A bad
+// byte anywhere in the text is reported ahead of an earlier syntax error,
+// and the pins hold the parser to that order.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "ir/printer.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
+#include "text/corpus_gen.hpp"
 #include "text/parser.hpp"
 #include "text/workload_file.hpp"
 #include "workloads/workload.hpp"
@@ -68,6 +77,16 @@ void expect_structured_outcome(const std::string& text, std::uint64_t seed) {
   }
 }
 
+/// The document `seed` corrupts `base` into: one to three stacked
+/// corruptions, each drifting further from well-formed.
+std::string corrupted(const std::string& base, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string text = base;
+  const int rounds = static_cast<int>(rng.uniform(1, 3));
+  for (int i = 0; i < rounds; ++i) text = mutate(text, rng);
+  return text;
+}
+
 TEST(TextMutation, CorruptedRegistryDocumentsNeverEscapeStructuredErrors) {
   // Two shapes: the branchiest registry kernel and a generated one with
   // custom-free straight loops — different grammar surfaces.
@@ -76,13 +95,98 @@ TEST(TextMutation, CorruptedRegistryDocumentsNeverEscapeStructuredErrors) {
   bases.push_back(module_to_string(find_workload("adpcmdecode").module()));
   for (const std::string& base : bases) {
     for (std::uint64_t seed = 1; seed <= 150; ++seed) {
-      Rng rng(seed);
-      std::string text = base;
-      // Stacked corruptions drift further from well-formed with each round.
-      const int rounds = static_cast<int>(rng.uniform(1, 3));
-      for (int i = 0; i < rounds; ++i) text = mutate(text, rng);
-      expect_structured_outcome(text, seed);
+      expect_structured_outcome(corrupted(base, seed), seed);
     }
+  }
+}
+
+std::string hex16(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// One parse's outcome as a line: "ok <hash of the reprint>", or the
+/// ParseError's "error L:C <expected> | <message>".
+std::string parse_outcome(const std::string& text) {
+  try {
+    return "ok " + hex16(hash_bytes(module_to_string(*parse_module(text))));
+  } catch (const ParseError& e) {
+    return "error " + std::to_string(e.line()) + ":" + std::to_string(e.col()) + " " +
+           e.expected() + " | " + e.message();
+  }
+}
+
+/// A base document's pinned outcomes: the digest of seeds 1..seeds, and one
+/// check byte per seed (two hex digits) that locates the first seed to differ.
+struct OutcomePin {
+  const char* document;
+  std::uint64_t seeds;
+  std::uint64_t digest;
+  const char* seed_bytes;
+};
+
+void expect_pinned_outcomes(const std::string& base, const OutcomePin& pin) {
+  std::vector<std::string> outcomes;
+  std::uint64_t digest = kHashSeed;
+  std::string bytes;
+  for (std::uint64_t seed = 1; seed <= pin.seeds; ++seed) {
+    outcomes.push_back(parse_outcome(corrupted(base, seed)));
+    const std::uint64_t h = hash_bytes(outcomes.back());
+    digest = hash_combine(digest, h);
+    char byte[3];
+    std::snprintf(byte, sizeof byte, "%02x", static_cast<unsigned>(h & 0xff));
+    bytes += byte;
+  }
+  if (digest == pin.digest) return;
+  const std::string pinned = pin.seed_bytes;
+  std::size_t first = 0;
+  while (first < outcomes.size() && 2 * first + 2 <= pinned.size() &&
+         pinned.compare(2 * first, 2, bytes, 2 * first, 2) == 0) {
+    ++first;
+  }
+  ADD_FAILURE() << pin.document << ": outcomes moved from the pins ("
+                << (first < outcomes.size()
+                        ? "first differing seed " + std::to_string(first + 1) + ": " +
+                              outcomes[first]
+                        : std::string("no seed's check byte differs")) +
+                       ")\n  re-recorded: 0x"
+                << hex16(digest) << "ULL,\n  \"" << bytes << "\"";
+}
+
+// Recorded with the tokenize-then-parse frontend, which lexes the whole
+// document before it parses any of it.
+const OutcomePin kOutcomePins[] = {
+    {"crc32", 150, 0x1adba81ddb83e537ULL,
+     "00dbbc7e9a1ca4c182b73149164fb569a50350a3695bb41d2116bdfd8a18"
+     "c9f76296ad66155f82c63654333012a81957726cbe1f6173531648d1efc1"
+     "9adef0fe055ad643e2db3128d007b21f9b04ad933596728a30a874988b75"
+     "c994cb7fdb15668dc806bbadee01264cc264af026ac1fd7bcbce890fc6d2"
+     "a059045537868abc2bfc602d38496a083766ef93a6be54b181044cc03c4d"},
+    {"adpcmdecode", 150, 0xe0a8752dbe47b5d7ULL,
+     "8c0966c2ed2b9db21a2e2c66a04c0877b21528c8050a35d018bd62d970fb"
+     "417ad6c7e0ca1ce11c4c485acc0a11777ec6eb84c4fce45d9bdc8a599315"
+     "ac4d3e8d136c1f61eeebb73ab2dcaad5d0a1021fa6fac1eb5cd5994bc277"
+     "5435042eaaf56e88dc49985004bfe4eec3a1025328c42649d7b1cbb0bff9"
+     "906c4f1b0fa4b4d3d4a6f1d188f4068ef6417b74aa3e15c4dddea0da3983"},
+    {"gen1001 (4096 ops)", 100, 0x00873b02e84fd5a5ULL,
+     "dd1b07a6ddd8741303612053c1445c342608f8654facca159f9c7a3d3bf0"
+     "348f91916c5b347fd91231f12bc1ca8a5cb70eee8a3d7cd2435946ed07fc"
+     "87fdf9ff55882c4b8deddc762e348ee5df211435e1d69cb19618a24bfbcf"
+     "89d882f37710c6da38b0"},
+};
+
+TEST(TextMutation, CorruptedDocumentsKeepTheirPinnedOutcomes) {
+  CorpusGenConfig config;
+  config.seed = 1001;
+  config.num_ops = 4096;
+  const std::string bases[] = {
+      module_to_string(find_workload("crc32").module()),
+      module_to_string(find_workload("adpcmdecode").module()),
+      module_to_string(generate_workload(config).module()),
+  };
+  for (std::size_t i = 0; i < std::size(bases); ++i) {
+    expect_pinned_outcomes(bases[i], kOutcomePins[i]);
   }
 }
 
