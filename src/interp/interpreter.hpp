@@ -52,6 +52,12 @@ class Interpreter {
                                         std::span<const std::int32_t> inputs) const;
 
  private:
+  /// eval_custom into `outputs`, with `scratch` holding the micro results;
+  /// allocates only to grow the two vectors.
+  void eval_custom_into(const CustomOp& op, std::span<const std::int32_t> inputs,
+                        std::vector<std::int32_t>& scratch,
+                        std::vector<std::int32_t>& outputs) const;
+
   const Module& module_;
   Memory& memory_;
   LatencyModel latency_;

@@ -23,11 +23,6 @@ ValueId Function::make_konst(std::int64_t literal) {
   return it->second;
 }
 
-const ValueDef& Function::value(ValueId v) const {
-  ISEX_ASSERT(v.valid() && v.index < values_.size(), "invalid value id");
-  return values_[v.index];
-}
-
 std::int64_t Function::konst_value(ValueId v) const {
   const ValueDef& def = value(v);
   ISEX_CHECK(def.kind == ValueKind::konst, "value is not a constant");
@@ -38,16 +33,6 @@ InstrId Function::def_instr(ValueId v) const {
   const ValueDef& def = value(v);
   if (def.kind != ValueKind::instr) return InstrId{};
   return InstrId{def.payload};
-}
-
-Instruction& Function::instr(InstrId i) {
-  ISEX_ASSERT(i.valid() && i.index < instrs_.size(), "invalid instruction id");
-  return instrs_[i.index];
-}
-
-const Instruction& Function::instr(InstrId i) const {
-  ISEX_ASSERT(i.valid() && i.index < instrs_.size(), "invalid instruction id");
-  return instrs_[i.index];
 }
 
 InstrId Function::append_instr(BlockId b, Opcode op, std::vector<ValueId> operands,

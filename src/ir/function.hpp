@@ -57,7 +57,10 @@ class Function {
   int num_params() const { return num_params_; }
   ValueId param(int i) const;
   ValueId make_konst(std::int64_t literal);  // deduplicated per function
-  const ValueDef& value(ValueId v) const;
+  const ValueDef& value(ValueId v) const {
+    ISEX_ASSERT(v.valid() && v.index < values_.size(), "invalid value id");
+    return values_[v.index];
+  }
   std::size_t num_values() const { return values_.size(); }
   bool is_konst(ValueId v) const { return value(v).kind == ValueKind::konst; }
   std::int64_t konst_value(ValueId v) const;
@@ -65,9 +68,21 @@ class Function {
   InstrId def_instr(ValueId v) const;
 
   // --- instructions ---------------------------------------------------
-  Instruction& instr(InstrId i);
-  const Instruction& instr(InstrId i) const;
+  Instruction& instr(InstrId i) {
+    ISEX_ASSERT(i.valid() && i.index < instrs_.size(), "invalid instruction id");
+    return instrs_[i.index];
+  }
+  const Instruction& instr(InstrId i) const {
+    ISEX_ASSERT(i.valid() && i.index < instrs_.size(), "invalid instruction id");
+    return instrs_[i.index];
+  }
   std::size_t num_instrs() const { return instrs_.size(); }
+  /// Makes room for `instrs` more instructions and `values` more values, so
+  /// a builder that knows its size appends without reallocating.
+  void reserve(std::size_t instrs, std::size_t values) {
+    instrs_.reserve(instrs_.size() + instrs);
+    values_.reserve(values_.size() + values);
+  }
   /// Creates an instruction (and its result value when the opcode has one)
   /// and appends it to `block`.
   InstrId append_instr(BlockId block, Opcode op, std::vector<ValueId> operands,

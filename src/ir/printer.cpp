@@ -1,8 +1,9 @@
 #include "ir/printer.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cstring>
 #include <limits>
-#include <sstream>
 
 namespace isex {
 
@@ -10,47 +11,177 @@ namespace {
 
 constexpr std::uint32_t kUnnumbered = std::numeric_limits<std::uint32_t>::max();
 
+/// Collects printed text in a fixed buffer and hands it to the sink a
+/// buffer at a time, so printing allocates nothing per token.
+class TextWriter {
+ public:
+  explicit TextWriter(const TextSink& sink) : sink_(sink) {}
+
+  void put(std::string_view s) {
+    if (s.size() > kChunk - used_) {
+      flush();
+      if (s.size() > kChunk) {
+        sink_(s);
+        return;
+      }
+    }
+    std::memcpy(buf_ + used_, s.data(), s.size());
+    used_ += s.size();
+  }
+  void put(char c) {
+    if (used_ == kChunk) flush();
+    buf_[used_++] = c;
+  }
+  template <typename Int>
+  void put_int(Int v) {
+    char* const at = room(kIntChars);
+    used_ = static_cast<std::size_t>(std::to_chars(at, at + kIntChars, v).ptr - buf_);
+  }
+  void put_name(const ValueNames& names, ValueId v) {
+    used_ = static_cast<std::size_t>(names.write(v, room(ValueNames::kMaxNameLength)) - buf_);
+  }
+  void flush() {
+    if (used_ > 0) sink_(std::string_view(buf_, used_));
+    used_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kChunk = 16384;
+  static constexpr std::size_t kIntChars = 20;  // "-9223372036854775808"
+
+  char* room(std::size_t n) {
+    if (kChunk - used_ < n) flush();
+    return buf_ + used_;
+  }
+
+  const TextSink& sink_;
+  std::size_t used_ = 0;
+  char buf_[kChunk];
+};
+
 /// Shortest decimal form that parses back to exactly the same double — keeps
 /// custom-op area annotations byte-stable through print -> parse -> print.
-std::string double_to_string(double v) {
+void put_double(TextWriter& out, double v) {
   char buf[64];
   const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
+  out.put(ec == std::errc() ? std::string_view(buf, static_cast<std::size_t>(ptr - buf)) : "0");
 }
 
 /// Operand-space name inside a custom-op micro-program: t0..t(k-1) are the
 /// instruction's inputs, t(k+i) is micro i's result.
-std::string micro_operand(int index) { return "t" + std::to_string(index); }
+void put_micro_operand(TextWriter& out, int index) {
+  out.put('t');
+  out.put_int(index);
+}
 
-void print_custom_op(std::ostream& os, const CustomOp& op) {
-  os << "  custom " << op.name << " inputs " << op.num_inputs << " latency "
-     << op.latency_cycles << " area " << double_to_string(op.area_macs) << " {\n";
+void print_custom_op(TextWriter& out, const CustomOp& op) {
+  out.put("  custom ");
+  out.put(op.name);
+  out.put(" inputs ");
+  out.put_int(op.num_inputs);
+  out.put(" latency ");
+  out.put_int(op.latency_cycles);
+  out.put(" area ");
+  put_double(out, op.area_macs);
+  out.put(" {\n");
   for (std::size_t i = 0; i < op.micros.size(); ++i) {
     const CustomOp::Micro& m = op.micros[i];
-    os << "    " << micro_operand(op.num_inputs + static_cast<int>(i)) << " = "
-       << name_of(m.op);
+    out.put("    ");
+    put_micro_operand(out, op.num_inputs + static_cast<int>(i));
+    out.put(" = ");
+    out.put(name_of(m.op));
     if (m.op == Opcode::konst) {
-      os << " " << m.imm;
+      out.put(' ');
+      out.put_int(m.imm);
     } else {
       bool first = true;
       for (const int operand : {m.a, m.b, m.c}) {
         if (operand < 0) continue;
-        os << (first ? " " : ", ") << micro_operand(operand);
+        out.put(first ? " " : ", ");
+        put_micro_operand(out, operand);
         first = false;
       }
       if (m.op == Opcode::load) {
-        os << ", rom " << m.imm;
+        out.put(", rom ");
+        out.put_int(m.imm);
       } else if (m.imm != 0) {
-        os << ", #" << m.imm;
+        out.put(", #");
+        out.put_int(m.imm);
       }
     }
-    os << "\n";
+    out.put('\n');
   }
-  os << "    out";
+  out.put("    out");
   for (std::size_t i = 0; i < op.outputs.size(); ++i) {
-    os << (i == 0 ? " " : ", ") << micro_operand(op.outputs[i]);
+    out.put(i == 0 ? " " : ", ");
+    put_micro_operand(out, op.outputs[i]);
   }
-  os << "\n  }\n";
+  out.put("\n  }\n");
+}
+
+void print_function(TextWriter& out, const Module& module, const Function& fn) {
+  out.put("func ");
+  out.put(fn.name());
+  out.put('(');
+  for (int i = 0; i < fn.num_params(); ++i) {
+    if (i) out.put(", ");
+    out.put("arg");
+    out.put_int(i);
+  }
+  out.put(") {\n");
+  const ValueNames names(fn);
+  for (std::size_t bi = 0; bi < fn.num_blocks(); ++bi) {
+    const BlockId b{static_cast<std::uint32_t>(bi)};
+    const BasicBlock& bb = fn.block(b);
+    out.put(bb.name);
+    out.put(":  ; bb");
+    out.put_int(bi);
+    out.put('\n');
+    for (InstrId id : bb.instrs) {
+      const Instruction& ins = fn.instr(id);
+      if (ins.dead) continue;
+      out.put("  ");
+      if (ins.result.valid()) {
+        out.put_name(names, ins.result);
+        out.put(" = ");
+      }
+      out.put(name_of(ins.op));
+      if (ins.op == Opcode::custom) {
+        out.put('.');
+        out.put(module.custom_op(static_cast<int>(ins.imm)).name);
+      }
+      bool first = true;
+      for (std::size_t k = 0; k < ins.operands.size(); ++k) {
+        out.put(first ? " " : ", ");
+        out.put_name(names, ins.operands[k]);
+        if (ins.op == Opcode::phi) {
+          out.put(" [");
+          out.put(fn.block(ins.targets[k]).name);
+          out.put(']');
+        }
+        first = false;
+      }
+      for (std::size_t k = (ins.op == Opcode::phi ? ins.targets.size() : 0);
+           k < ins.targets.size(); ++k) {
+        out.put(first ? " " : ", ");
+        out.put(fn.block(ins.targets[k]).name);
+        first = false;
+      }
+      if (ins.op == Opcode::extract) {
+        out.put(", #");
+        out.put_int(ins.imm);
+      }
+      // ROM hint on a load: imm = 1 + read-only segment index. Dropping it
+      // would silently change what the DFG extractor admits into cuts, so
+      // the textual form carries it explicitly.
+      if (ins.op == Opcode::load && ins.imm > 0) {
+        out.put(", rom ");
+        out.put_int(ins.imm - 1);
+      }
+      out.put('\n');
+    }
+  }
+  out.put("}\n");
 }
 
 }  // namespace
@@ -70,96 +201,72 @@ ValueNames::ValueNames(const Function& fn) : fn_(fn), dense_(fn.num_values(), kU
   }
 }
 
-std::string ValueNames::name(ValueId v) const {
-  if (!v.valid()) return "<none>";
+char* ValueNames::write(ValueId v, char* out) const {
+  char* const end = out + kMaxNameLength;
+  const auto copy = [out](std::string_view s) { return std::copy(s.begin(), s.end(), out); };
+  const auto number = [end](char* at, auto n) { return std::to_chars(at, end, n).ptr; };
+  if (!v.valid()) return copy("<none>");
   const ValueDef& def = fn_.value(v);
   switch (def.kind) {
     case ValueKind::param:
-      return "arg" + std::to_string(def.payload);
+      return number(copy("arg"), def.payload);
     case ValueKind::konst:
-      return std::to_string(def.imm);
+      return number(out, def.imm);
     case ValueKind::instr:
-      if (dense_[v.index] != kUnnumbered) return "v" + std::to_string(dense_[v.index]);
-      return "v?" + std::to_string(v.index);  // detached instruction (debug only)
+      if (dense_[v.index] != kUnnumbered) return number(copy("v"), dense_[v.index]);
+      return number(copy("v?"), v.index);  // detached instruction (debug only)
   }
-  return "<bad>";
+  return copy("<bad>");
 }
 
-void print_function(std::ostream& os, const Module& module, const Function& fn) {
-  os << "func " << fn.name() << "(";
-  for (int i = 0; i < fn.num_params(); ++i) {
-    if (i) os << ", ";
-    os << "arg" << i;
-  }
-  os << ") {\n";
-  const ValueNames names(fn);
-  for (std::size_t bi = 0; bi < fn.num_blocks(); ++bi) {
-    const BlockId b{static_cast<std::uint32_t>(bi)};
-    const BasicBlock& bb = fn.block(b);
-    os << bb.name << ":  ; bb" << bi << "\n";
-    for (InstrId id : bb.instrs) {
-      const Instruction& ins = fn.instr(id);
-      if (ins.dead) continue;
-      os << "  ";
-      if (ins.result.valid()) os << names.name(ins.result) << " = ";
-      os << name_of(ins.op);
-      if (ins.op == Opcode::custom) {
-        os << "." << module.custom_op(static_cast<int>(ins.imm)).name;
-      }
-      bool first = true;
-      for (std::size_t k = 0; k < ins.operands.size(); ++k) {
-        os << (first ? " " : ", ") << names.name(ins.operands[k]);
-        if (ins.op == Opcode::phi) os << " [" << fn.block(ins.targets[k]).name << "]";
-        first = false;
-      }
-      for (std::size_t k = (ins.op == Opcode::phi ? ins.targets.size() : 0);
-           k < ins.targets.size(); ++k) {
-        os << (first ? " " : ", ") << fn.block(ins.targets[k]).name;
-        first = false;
-      }
-      if (ins.op == Opcode::extract) os << ", #" << ins.imm;
-      // ROM hint on a load: imm = 1 + read-only segment index. Dropping it
-      // would silently change what the DFG extractor admits into cuts, so
-      // the textual form carries it explicitly.
-      if (ins.op == Opcode::load && ins.imm > 0) os << ", rom " << (ins.imm - 1);
-      os << "\n";
-    }
-  }
-  os << "}\n";
+std::string ValueNames::name(ValueId v) const {
+  char buf[kMaxNameLength];
+  return std::string(buf, write(v, buf));
 }
 
-void print_module(std::ostream& os, const Module& module) {
-  os << "module " << module.name() << "\n";
+void print_module(const Module& module, const TextSink& sink) {
+  TextWriter out(sink);
+  out.put("module ");
+  out.put(module.name());
+  out.put('\n');
   for (const MemSegment& seg : module.segments()) {
-    os << "  segment " << seg.name << " @" << seg.base << " x" << seg.size_words
-       << (seg.read_only ? " ro" : "");
+    out.put("  segment ");
+    out.put(seg.name);
+    out.put(" @");
+    out.put_int(seg.base);
+    out.put(" x");
+    out.put_int(seg.size_words);
+    if (seg.read_only) out.put(" ro");
     if (!seg.init.empty()) {
-      os << " init [";
+      out.put(" init [");
       for (std::size_t i = 0; i < seg.init.size(); ++i) {
-        os << (i == 0 ? "" : ", ") << seg.init[i];
+        if (i > 0) out.put(", ");
+        out.put_int(seg.init[i]);
       }
-      os << "]";
+      out.put(']');
     }
-    os << "\n";
+    out.put('\n');
   }
   for (std::size_t i = 0; i < module.num_custom_ops(); ++i) {
-    print_custom_op(os, module.custom_op(static_cast<int>(i)));
+    print_custom_op(out, module.custom_op(static_cast<int>(i)));
   }
-  for (const Function& fn : module.functions()) {
-    print_function(os, module, fn);
-  }
+  for (const Function& fn : module.functions()) print_function(out, module, fn);
+  out.flush();
 }
 
 std::string function_to_string(const Module& module, const Function& fn) {
-  std::ostringstream os;
-  print_function(os, module, fn);
-  return os.str();
+  std::string text;
+  const TextSink append = [&text](std::string_view piece) { text += piece; };
+  TextWriter out(append);
+  print_function(out, module, fn);
+  out.flush();
+  return text;
 }
 
 std::string module_to_string(const Module& module) {
-  std::ostringstream os;
-  print_module(os, module);
-  return os.str();
+  std::string text;
+  print_module(module, [&text](std::string_view piece) { text += piece; });
+  return text;
 }
 
 }  // namespace isex

@@ -6,8 +6,9 @@
 #pragma once
 
 #include <cstdint>
-#include <ostream>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/module.hpp"
@@ -29,20 +30,32 @@ class ValueNames {
  public:
   explicit ValueNames(const Function& fn);
 
+  /// The longest spelling there is: an int64 literal such as
+  /// "-9223372036854775808".
+  static constexpr std::size_t kMaxNameLength = 20;
+
   /// A result whose instruction is dead or in no block list is spelled
   /// "v?<arena index>" (transient pass states; debug output only).
   std::string name(ValueId v) const;
+  /// Writes name(v) to `out`, which has room for kMaxNameLength bytes, and
+  /// returns the end of what it wrote. Allocates nothing.
+  char* write(ValueId v, char* out) const;
 
  private:
   const Function& fn_;
   std::vector<std::uint32_t> dense_;  // by value index
 };
 
-void print_function(std::ostream& os, const Module& module, const Function& fn);
-void print_module(std::ostream& os, const Module& module);
+/// Receives printed text in consecutive pieces.
+using TextSink = std::function<void(std::string_view)>;
+
+/// Prints the canonical textual form of the whole module (what parse_module
+/// reads) to `sink`, a few KB per call, without building the whole text:
+/// the content fingerprint hashes the pieces as they come.
+void print_module(const Module& module, const TextSink& sink);
 
 std::string function_to_string(const Module& module, const Function& fn);
-/// The canonical textual form of the whole module (what parse_module reads).
+/// The canonical textual form of the whole module in one string.
 std::string module_to_string(const Module& module);
 
 }  // namespace isex

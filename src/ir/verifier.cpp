@@ -53,14 +53,16 @@ void verify_function(const Module& module, const Function& fn) {
 
   const Cfg cfg(fn);
 
+  // Instruction id -> position in the block being checked, for same-block
+  // def-before-use checks; kNotHere for instructions of other blocks.
+  constexpr std::size_t kNotHere = ~std::size_t{0};
+  std::vector<std::size_t> pos(fn.num_instrs(), kNotHere);
+
   // Instruction-level checks.
   for (std::size_t bi = 0; bi < fn.num_blocks(); ++bi) {
     const BlockId b{static_cast<std::uint32_t>(bi)};
     if (!cfg.is_reachable(b)) continue;
     const BasicBlock& bb = fn.block(b);
-
-    // Map instruction id -> position for same-block def-before-use checks.
-    std::unordered_map<std::uint32_t, std::size_t> pos;
     for (std::size_t k = 0; k < bb.instrs.size(); ++k) pos[bb.instrs[k].index] = k;
 
     for (std::size_t k = 0; k < bb.instrs.size(); ++k) {
@@ -146,8 +148,7 @@ void verify_function(const Module& module, const Function& fn) {
           continue;
         }
         if (def_block == b) {
-          const auto it = pos.find(def_id.index);
-          if (it == pos.end() || it->second >= k) {
+          if (pos[def_id.index] == kNotHere || pos[def_id.index] >= k) {
             fail(fn, "use before def at " + describe(fn, id));
           }
         } else if (!cfg.dominates(def_block, b)) {
@@ -155,6 +156,7 @@ void verify_function(const Module& module, const Function& fn) {
         }
       }
     }
+    for (InstrId id : bb.instrs) pos[id.index] = kNotHere;
   }
 
   // Entry block must have no phis.

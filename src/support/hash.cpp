@@ -17,12 +17,9 @@ std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value) {
 }
 
 std::uint64_t hash_bytes(std::string_view bytes, std::uint64_t seed) {
-  std::uint64_t h = 0xCBF29CE484222325ULL ^ seed;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return hash_mix(h);
+  ByteHasher hasher(seed);
+  hasher.update(bytes);
+  return hasher.finish();
 }
 
 std::uint64_t hash_double(double v) {

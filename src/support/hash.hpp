@@ -21,6 +21,24 @@ std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value);
 /// FNV-1a over the bytes, finished through hash_mix.
 std::uint64_t hash_bytes(std::string_view bytes, std::uint64_t seed = kHashSeed);
 
+/// hash_bytes over a byte stream that arrives in pieces: feeding a, then b,
+/// finishes to hash_bytes(a + b), bit for bit.
+class ByteHasher {
+ public:
+  explicit ByteHasher(std::uint64_t seed = kHashSeed) : state_(0xCBF29CE484222325ULL ^ seed) {}
+
+  void update(std::string_view bytes) {
+    for (const char c : bytes) {
+      state_ ^= static_cast<unsigned char>(c);
+      state_ *= 0x100000001B3ULL;
+    }
+  }
+  std::uint64_t finish() const { return hash_mix(state_); }
+
+ private:
+  std::uint64_t state_;
+};
+
 /// Bit-pattern hash with -0.0 canonicalised to +0.0 and every NaN collapsed
 /// to one value, so equal-comparing doubles hash equal.
 std::uint64_t hash_double(double v);

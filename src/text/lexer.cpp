@@ -62,30 +62,28 @@ std::string describe_token(const Token& token) {
   return "<bad token>";
 }
 
-std::vector<Token> tokenize(std::string_view text) {
-  std::vector<Token> out;
-  out.reserve(text.size() / 4 + 1);  // printed IR averages ~3.6 bytes per token
-  int line = 1;
-  std::size_t line_start = 0;  // offset of the current line's first byte
-  std::size_t i = 0;
+Token Lexer::next() {
+  const std::string_view text = text_;
   const std::size_t n = text.size();
   const auto digits_from = [&](std::size_t k) {
     while (k < n && in_class(text[k], kDigit)) ++k;
     return k;
   };
 
+  // A throw leaves pos_ before the offending token, so check_rest() meets
+  // the same error again.
+  std::size_t i = pos_;
   while (i < n) {
     const char c = text[i];
     // No token spans a line, so a column is the offset into the current line.
-    const SourceLoc at{line, static_cast<int>(i - line_start) + 1};
+    const SourceLoc at{line_, static_cast<int>(i - line_start_) + 1};
     if (c == '\n') {
       // Collapse is the parser's job; every physical line break is a token
       // so column/line reporting stays exact.
-      out.push_back({.kind = TokenKind::newline, .text = text.substr(i, 1), .loc = at});
-      ++i;
-      ++line;
-      line_start = i;
-      continue;
+      pos_ = i + 1;
+      ++line_;
+      line_start_ = pos_;
+      return {.kind = TokenKind::newline, .text = text.substr(i, 1), .loc = at};
     }
     if (c == ' ' || c == '\t' || c == '\r') {
       ++i;
@@ -98,9 +96,8 @@ std::vector<Token> tokenize(std::string_view text) {
     if (in_class(c, kIdentStart)) {
       std::size_t end = i + 1;
       while (end < n && in_class(text[end], kIdentChar)) ++end;
-      out.push_back({.kind = TokenKind::identifier, .text = text.substr(i, end - i), .loc = at});
-      i = end;
-      continue;
+      pos_ = end;
+      return {.kind = TokenKind::identifier, .text = text.substr(i, end - i), .loc = at};
     }
     if (in_class(c, kDigit) || (c == '-' && i + 1 < n && in_class(text[i + 1], kDigit))) {
       std::size_t end = digits_from(i + 1);
@@ -143,22 +140,40 @@ std::vector<Token> tokenize(std::string_view text) {
         }
         token.fvalue = static_cast<double>(token.value);
       }
-      out.push_back(token);
-      i = end;
-      continue;
+      pos_ = end;
+      return token;
     }
     if (in_class(c, kPunct)) {
-      out.push_back({.kind = TokenKind::punct, .text = text.substr(i, 1), .loc = at});
-      ++i;
-      continue;
+      pos_ = i + 1;
+      return {.kind = TokenKind::punct, .text = text.substr(i, 1), .loc = at};
     }
     throw ParseError(at, "token",
                      "unexpected " + describe_byte(static_cast<unsigned char>(c)) +
                          " outside the token alphabet");
   }
-  out.push_back({.kind = TokenKind::eof,
-                 .text = {},
-                 .loc = SourceLoc{line, static_cast<int>(n - line_start) + 1}});
+  pos_ = n;
+  return {.kind = TokenKind::eof,
+          .text = {},
+          .loc = SourceLoc{line_, static_cast<int>(n - line_start_) + 1}};
+}
+
+bool Lexer::next_is_punct(char c) const {
+  std::size_t i = pos_;
+  while (i < text_.size() && (text_[i] == ' ' || text_[i] == '\t' || text_[i] == '\r')) ++i;
+  return i < text_.size() && text_[i] == c;
+}
+
+void Lexer::check_rest() {
+  while (next().kind != TokenKind::eof) {
+  }
+}
+
+std::vector<Token> tokenize(std::string_view text) {
+  std::vector<Token> out;
+  Lexer lexer(text);
+  do {
+    out.push_back(lexer.next());
+  } while (out.back().kind != TokenKind::eof);
   return out;
 }
 

@@ -6,6 +6,11 @@
 // the line. Every byte the lexer does not understand is a structured
 // ParseError carrying the 1-based line/column — arbitrary input never
 // crashes or scans out of bounds.
+//
+// The Lexer hands out one token at a time, so a parse holds no token
+// array. A lexical error anywhere in a document outranks every other error
+// in it: a parser that fails before the end calls check_rest(), which
+// reports the first bad byte or literal past the failure, if there is one.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +65,8 @@ enum class TokenKind : std::uint8_t {
   eof,
 };
 
-/// A token's `text` views the input passed to tokenize(): the input must
-/// outlive every token made from it.
+/// A token's `text` views the lexed input: the input must outlive every
+/// token made from it.
 struct Token {
   TokenKind kind = TokenKind::eof;
   std::string_view text;   // identifier spelling / punct character / literal digits
@@ -75,9 +80,36 @@ struct Token {
 /// "number 42", "'{'", "end of line", "end of input").
 std::string describe_token(const Token& token);
 
-/// Tokenizes the whole input. The result always ends with an eof token;
-/// throws ParseError on bytes outside the token alphabet or on integer
-/// literals that do not fit an int64.
+/// On-demand tokenizer over one input, which must outlive it.
+class Lexer {
+ public:
+  explicit Lexer(std::string_view text) : text_(text) {}
+
+  /// The next token; at the end of the input, an eof token every call.
+  /// Throws ParseError on a byte outside the token alphabet or a literal
+  /// out of range (integers must fit an int64).
+  Token next();
+
+  /// True when the next token is the punctuation `c`, without lexing it.
+  bool next_is_punct(char c) const;
+
+  /// Bytes of input not lexed yet.
+  std::size_t bytes_left() const { return text_.size() - pos_; }
+
+  /// Lexes the rest of the input and throws its first lexical error, if
+  /// any. A parser calls this before reporting an error of its own, so the
+  /// error reported for a document does not depend on where parsing stopped.
+  void check_rest();
+
+ private:
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  std::size_t line_start_ = 0;  // offset of the current line's first byte
+  int line_ = 1;
+};
+
+/// Every token of the input, ending with the eof token; throws what
+/// Lexer::next() throws.
 std::vector<Token> tokenize(std::string_view text);
 
 }  // namespace isex

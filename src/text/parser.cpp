@@ -1,7 +1,7 @@
 #include "text/parser.hpp"
 
+#include <bit>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -11,12 +11,59 @@ namespace isex {
 
 namespace {
 
-std::optional<Opcode> opcode_from_name(std::string_view name) {
-  for (int i = 0; i < opcode_count; ++i) {
-    const Opcode op = static_cast<Opcode>(i);
-    if (name == name_of(op)) return op;
+/// Open-addressing map from names to ids, sized once for the number of
+/// names it will hold; at most half full, so probes stay short. Names view
+/// the parsed text and are never empty.
+class NameTable {
+ public:
+  static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+
+  explicit NameTable(std::size_t capacity) : slots_(std::bit_ceil(2 * capacity + 2)) {}
+
+  /// Adds `name` -> `id`; false, leaving the table as it was, when the name
+  /// is already present.
+  bool insert(std::string_view name, std::uint32_t id) {
+    Slot& slot = probe(name);
+    if (!slot.name.empty()) return false;
+    slot = {name, id};
+    return true;
   }
-  return std::nullopt;
+  std::uint32_t find(std::string_view name) const {
+    const Slot& slot = const_cast<NameTable*>(this)->probe(name);
+    return slot.name.empty() ? kAbsent : slot.id;
+  }
+
+ private:
+  struct Slot {
+    std::string_view name;
+    std::uint32_t id = kAbsent;
+  };
+
+  /// The slot holding `name`, or the empty slot where it belongs.
+  Slot& probe(std::string_view name) {
+    std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a
+    for (const char c : name) h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = static_cast<std::size_t>(h ^ (h >> 32)) & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.name.empty() || slot.name == name) return slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+};
+
+std::optional<Opcode> opcode_from_name(std::string_view name) {
+  static const NameTable table = [] {
+    NameTable t(opcode_count);
+    for (int i = 0; i < opcode_count; ++i) {
+      t.insert(name_of(static_cast<Opcode>(i)), static_cast<std::uint32_t>(i));
+    }
+    return t;
+  }();
+  const std::uint32_t op = table.find(name);
+  if (op == NameTable::kAbsent) return std::nullopt;
+  return static_cast<Opcode>(op);
 }
 
 /// Bounded decimal parse of an all-digits suffix (tN names, xN sizes).
@@ -32,48 +79,67 @@ std::int64_t parse_digits(std::string_view digits, std::int64_t limit) {
 
 // The parsed-but-unresolved form below holds names as views into the
 // parsed text, which outlives the parser; only names the Module stores
-// (functions, blocks, segments, custom ops) are copied.
+// (functions, blocks, segments, custom ops) are copied. A function keeps
+// its instructions, operands and branch targets in three flat arrays.
 
 /// One unresolved operand of a parsed instruction: an integer literal, or a
 /// reference to a parameter / named result (possibly defined later — phis
 /// reference their latch values forward).
 struct POperand {
-  bool is_const = false;
+  std::string_view name;  // empty for an integer literal
   std::int64_t literal = 0;
+  SourceLoc loc;
+};
+
+/// A block name an instruction refers to (phi incoming / branch dest).
+struct PTarget {
   std::string_view name;
   SourceLoc loc;
 };
 
 struct PInstr {
   std::string_view result;  // empty when the line binds no name
-  SourceLoc result_loc;
   Opcode op = Opcode::add;
   std::string_view custom_name;  // custom.NAME suffix
-  std::vector<POperand> operands;
-  std::vector<std::string_view> targets;  // block names (phi incoming / branch dests)
-  std::vector<SourceLoc> target_locs;
+  std::uint32_t first_operand = 0;
+  std::uint32_t num_operands = 0;
+  std::uint32_t first_target = 0;
+  std::uint32_t num_targets = 0;
   std::int64_t imm = 0;  // extract position / load ROM hint (1 + segment index)
-  SourceLoc loc;
+  SourceLoc loc;         // of the result name when there is one, else of the opcode
 };
 
 struct PBlock {
   std::string_view label;
   SourceLoc loc;
-  std::vector<PInstr> instrs;
+  std::uint32_t first_instr = 0;
+  std::uint32_t end_instr = 0;
 };
 
 struct PFunction {
   std::string_view name;
   std::vector<std::string_view> params;
   std::vector<PBlock> blocks;
+  std::vector<PInstr> instrs;
+  std::vector<POperand> operands;
+  std::vector<PTarget> targets;
+  std::size_t num_named_results = 0;
+  std::size_t num_literals = 0;
+  SourceLoc loc;
+};
+
+/// A ROM hint on a load, checked once the whole segment table is known.
+struct RomHint {
+  std::int64_t segment;
   SourceLoc loc;
 };
 
 class Parser {
  public:
-  explicit Parser(std::string_view text) : tokens_(tokenize(text)) {}
+  explicit Parser(std::string_view text) : lexer_(text) {}
 
   std::unique_ptr<Module> parse() {
+    token_ = lexer_.next();
     skip_newlines();
     expect_keyword("module");
     auto module = std::make_unique<Module>(std::string(expect_ident("module name").text));
@@ -110,58 +176,63 @@ class Parser {
     return module;
   }
 
+  /// See Lexer::check_rest().
+  void check_rest() { lexer_.check_rest(); }
+
  private:
   // --- token cursor ---------------------------------------------------------
-  const Token& peek(std::size_t ahead = 0) const {
-    const std::size_t i = pos_ + ahead;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();  // back() is eof
+  const Token& peek() const { return token_; }
+  /// True when the current token is an identifier directly followed by ':'.
+  bool at_label() const {
+    return token_.kind == TokenKind::identifier && lexer_.next_is_punct(':');
   }
-  const Token& advance() {
-    const Token& t = peek();
-    if (pos_ + 1 < tokens_.size()) ++pos_;
+  Token advance() {
+    const Token t = token_;
+    token_ = lexer_.next();
     return t;
   }
+  void skip() { token_ = lexer_.next(); }
   [[noreturn]] void fail(std::string expected, const Token& found) const {
     throw ParseError(found.loc, expected,
                      "expected " + expected + ", found " + describe_token(found));
   }
   bool at_punct(char c) const {
-    return peek().kind == TokenKind::punct && peek().text[0] == c;
+    return token_.kind == TokenKind::punct && token_.text[0] == c;
   }
-  bool at_keyword(const char* word) const {
-    return peek().kind == TokenKind::identifier && peek().text == word;
+  bool at_keyword(std::string_view word) const {
+    return token_.kind == TokenKind::identifier && token_.text == word;
   }
   Token expect_ident(const char* expected) {
-    if (peek().kind != TokenKind::identifier) fail(expected, peek());
+    if (token_.kind != TokenKind::identifier) fail(expected, token_);
     return advance();
   }
   Token expect_keyword(const char* word) {
-    if (!at_keyword(word)) fail("'" + std::string(word) + "'", peek());
+    if (!at_keyword(word)) fail("'" + std::string(word) + "'", token_);
     return advance();
   }
-  Token expect_punct(char c) {
-    if (!at_punct(c)) fail("'" + std::string(1, c) + "'", peek());
-    return advance();
+  void expect_punct(char c) {
+    if (!at_punct(c)) fail("'" + std::string(1, c) + "'", token_);
+    skip();
   }
   Token expect_int(const char* expected) {
-    if (peek().kind != TokenKind::number || peek().is_float) fail(expected, peek());
+    if (token_.kind != TokenKind::number || token_.is_float) fail(expected, token_);
     return advance();
   }
   Token expect_double(const char* expected) {
-    if (peek().kind != TokenKind::number) fail(expected, peek());
+    if (token_.kind != TokenKind::number) fail(expected, token_);
     return advance();
   }
   /// Consumes the end of the current line (newline or end of input).
   void expect_line_end() {
-    if (peek().kind == TokenKind::eof) return;
-    if (peek().kind != TokenKind::newline) fail("end of line", peek());
-    advance();
+    if (token_.kind == TokenKind::eof) return;
+    if (token_.kind != TokenKind::newline) fail("end of line", token_);
+    skip();
   }
   void skip_newlines() {
-    while (peek().kind == TokenKind::newline) advance();
+    while (token_.kind == TokenKind::newline) skip();
   }
   bool at_line_end() const {
-    return peek().kind == TokenKind::newline || peek().kind == TokenKind::eof;
+    return token_.kind == TokenKind::newline || token_.kind == TokenKind::eof;
   }
 
   // --- module-level items ---------------------------------------------------
@@ -187,16 +258,15 @@ class Parser {
     const auto size_words = static_cast<std::uint32_t>(words);
     bool read_only = false;
     if (at_keyword("ro")) {
-      advance();
+      skip();
       read_only = true;
     }
     std::vector<std::int32_t> init;
     if (at_keyword("init")) {
-      advance();
+      skip();
       expect_punct('[');
       while (!at_punct(']')) {
-        const Token v = expect_int("init word");
-        init.push_back(static_cast<std::int32_t>(v.value));
+        init.push_back(static_cast<std::int32_t>(expect_int("init word").value));
         if (!at_punct(']')) expect_punct(',');
       }
       expect_punct(']');
@@ -285,17 +355,17 @@ class Parser {
         while (!at_line_end()) {
           if (count > 0) expect_punct(',');
           if (at_keyword("rom")) {
-            advance();
+            skip();
             const Token seg = expect_int("ROM segment index");
             if (m.op != Opcode::load) {
               throw ParseError(seg.loc, "", "'rom' is only valid on load micros");
             }
-            check_rom_segment(module, seg);
+            check_rom_segment(module, {seg.value, seg.loc});
             m.imm = seg.value;
             break;
           }
           if (at_punct('#')) {
-            advance();
+            skip();
             m.imm = expect_int("immediate").value;
             break;
           }
@@ -330,16 +400,16 @@ class Parser {
     module.add_custom_op(std::move(op));
   }
 
-  void check_rom_segment(const Module& module, const Token& seg) {
-    const auto index = static_cast<std::size_t>(seg.value);
-    if (seg.value < 0 || index >= module.segments().size()) {
-      throw ParseError(seg.loc, "",
-                       "ROM segment index " + std::to_string(seg.value) +
+  void check_rom_segment(const Module& module, const RomHint& hint) {
+    const auto index = static_cast<std::size_t>(hint.segment);
+    if (hint.segment < 0 || index >= module.segments().size()) {
+      throw ParseError(hint.loc, "",
+                       "ROM segment index " + std::to_string(hint.segment) +
                            " is out of range (module has " +
                            std::to_string(module.segments().size()) + " segments)");
     }
     if (!module.segments()[index].read_only) {
-      throw ParseError(seg.loc, "",
+      throw ParseError(hint.loc, "",
                        "ROM hint references segment '" + module.segments()[index].name +
                            "', which is not read-only");
     }
@@ -365,21 +435,25 @@ class Parser {
     expect_punct('{');
     expect_line_end();
 
+    // Room for the rest of the text as printed IR, which spends ~22 bytes
+    // on an instruction and ~10 on an operand: the arrays fill without
+    // regrowing, and the pages a short function leaves unused are never
+    // touched.
+    pf.instrs.reserve(lexer_.bytes_left() / 16);
+    pf.operands.reserve(lexer_.bytes_left() / 8);
+
     while (true) {
       skip_newlines();
       if (at_punct('}')) break;
       if (peek().kind == TokenKind::eof) fail("block label or '}'", peek());
-      // A block label is an identifier directly followed by ':'.
-      if (peek().kind == TokenKind::identifier && peek(1).kind == TokenKind::punct &&
-          peek(1).text[0] == ':') {
-        PBlock block;
+      if (at_label()) {
         const Token label = advance();
-        block.label = label.text;
-        block.loc = label.loc;
-        advance();  // ':'
+        skip();  // ':'
         expect_line_end();
-        parse_block_body(block);
-        pf.blocks.push_back(std::move(block));
+        PBlock block{label.text, label.loc, static_cast<std::uint32_t>(pf.instrs.size()), 0};
+        parse_block_body(pf);
+        block.end_instr = static_cast<std::uint32_t>(pf.instrs.size());
+        pf.blocks.push_back(block);
         continue;
       }
       if (pf.blocks.empty()) fail("block label", peek());
@@ -393,49 +467,47 @@ class Parser {
     return pf;
   }
 
-  void parse_block_body(PBlock& block) {
+  void parse_block_body(PFunction& pf) {
     while (true) {
       skip_newlines();
-      if (at_punct('}')) return;  // function end
+      if (at_punct('}')) return;                  // function end
       if (peek().kind == TokenKind::eof) return;  // caller reports the missing '}'
-      if (peek().kind == TokenKind::identifier && peek(1).kind == TokenKind::punct &&
-          peek(1).text[0] == ':') {
-        return;  // next block label
-      }
-      block.instrs.push_back(parse_instr());
+      if (at_label()) return;                     // next block label
+      parse_instr(pf);
     }
   }
 
-  POperand parse_operand() {
-    POperand operand;
+  void parse_operand(PFunction& pf, PInstr& ins) {
     const Token& t = peek();
     if (t.kind == TokenKind::number) {
       if (t.is_float) fail("operand (integer literal or value name)", t);
-      operand.is_const = true;
-      operand.literal = t.value;
-      operand.loc = t.loc;
-      advance();
-      return operand;
+      pf.operands.push_back({{}, t.value, t.loc});
+      ++pf.num_literals;
+    } else if (t.kind == TokenKind::identifier) {
+      pf.operands.push_back({t.text, 0, t.loc});
+    } else {
+      fail("operand (integer literal or value name)", t);
     }
-    if (t.kind == TokenKind::identifier) {
-      operand.name = t.text;
-      operand.loc = t.loc;
-      advance();
-      return operand;
-    }
-    fail("operand (integer literal or value name)", t);
+    ++ins.num_operands;
+    skip();
   }
 
-  PInstr parse_instr() {
+  void parse_target(PFunction& pf, PInstr& ins, const char* expected) {
+    const Token dest = expect_ident(expected);
+    pf.targets.push_back({dest.text, dest.loc});
+    ++ins.num_targets;
+  }
+
+  void parse_instr(PFunction& pf) {
     PInstr ins;
+    ins.first_operand = static_cast<std::uint32_t>(pf.operands.size());
+    ins.first_target = static_cast<std::uint32_t>(pf.targets.size());
     Token first = expect_ident("instruction");
     ins.loc = first.loc;
     if (at_punct('=')) {
-      advance();
+      skip();
       ins.result = first.text;
-      ins.result_loc = first.loc;
       first = expect_ident("opcode");
-      ins.loc = ins.result_loc;
     }
     const std::string_view op_name = first.text;
     if (op_name.starts_with("custom.")) {
@@ -461,36 +533,28 @@ class Parser {
     switch (ins.op) {
       case Opcode::phi:
         while (!at_line_end()) {
-          if (!ins.operands.empty()) expect_punct(',');
-          ins.operands.push_back(parse_operand());
+          if (ins.num_operands > 0) expect_punct(',');
+          parse_operand(pf, ins);
           expect_punct('[');
-          const Token from = expect_ident("incoming block name");
-          ins.targets.push_back(from.text);
-          ins.target_locs.push_back(from.loc);
+          parse_target(pf, ins, "incoming block name");
           expect_punct(']');
         }
-        if (ins.operands.empty()) {
+        if (ins.num_operands == 0) {
           throw ParseError(ins.loc, "", "phi needs at least one incoming value");
         }
         break;
-      case Opcode::br: {
-        const Token dest = expect_ident("target block name");
-        ins.targets.push_back(dest.text);
-        ins.target_locs.push_back(dest.loc);
+      case Opcode::br:
+        parse_target(pf, ins, "target block name");
         break;
-      }
-      case Opcode::br_if: {
-        ins.operands.push_back(parse_operand());
+      case Opcode::br_if:
+        parse_operand(pf, ins);
         for (int k = 0; k < 2; ++k) {
           expect_punct(',');
-          const Token dest = expect_ident("target block name");
-          ins.targets.push_back(dest.text);
-          ins.target_locs.push_back(dest.loc);
+          parse_target(pf, ins, "target block name");
         }
         break;
-      }
       case Opcode::extract: {
-        ins.operands.push_back(parse_operand());
+        parse_operand(pf, ins);
         expect_punct(',');
         expect_punct('#');
         const Token position = expect_int("output position");
@@ -500,38 +564,38 @@ class Parser {
         ins.imm = position.value;
         break;
       }
-      case Opcode::load: {
-        ins.operands.push_back(parse_operand());
+      case Opcode::load:
+        parse_operand(pf, ins);
         if (!at_line_end()) {
           expect_punct(',');
           expect_keyword("rom");
           const Token seg = expect_int("ROM segment index");
           ins.imm = seg.value + 1;  // 0 stays "no hint"
-          rom_hints_.push_back({seg, ins.loc});
+          rom_hints_.push_back({seg.value, seg.loc});
         }
         break;
-      }
       case Opcode::custom:
         while (!at_line_end()) {
-          if (!ins.operands.empty()) expect_punct(',');
-          ins.operands.push_back(parse_operand());
+          if (ins.num_operands > 0) expect_punct(',');
+          parse_operand(pf, ins);
         }
         break;
       default: {
         const int expected = info(ins.op).operand_count;
         for (int k = 0; k < expected; ++k) {
           if (k > 0) expect_punct(',');
-          ins.operands.push_back(parse_operand());
+          parse_operand(pf, ins);
         }
         break;
       }
     }
     if (!ins.result.empty() && !info(ins.op).has_result) {
-      throw ParseError(ins.result_loc, "",
+      throw ParseError(ins.loc, "",
                        std::string("opcode '") + name_of(ins.op) + "' produces no result");
     }
     expect_line_end();
-    return ins;
+    if (!ins.result.empty()) ++pf.num_named_results;
+    pf.instrs.push_back(ins);
   }
 
   // --- materialization ------------------------------------------------------
@@ -542,42 +606,45 @@ class Parser {
     }
     // ROM hints were collected per parse; validate against the now-complete
     // segment table (segments may lexically follow a function).
-    for (const auto& [seg, loc] : rom_hints_) check_rom_segment(module, seg);
+    for (const RomHint& hint : rom_hints_) check_rom_segment(module, hint);
     rom_hints_.clear();
 
     Function& fn = module.add_function(std::move(fn_name), static_cast<int>(pf.params.size()));
-    std::unordered_map<std::string_view, ValueId> values;
+    fn.reserve(pf.instrs.size(), pf.instrs.size() + pf.num_literals);
+    NameTable values(pf.params.size() + pf.num_named_results);
     for (std::size_t i = 0; i < pf.params.size(); ++i) {
-      values.emplace(pf.params[i], fn.param(static_cast<int>(i)));
+      values.insert(pf.params[i], fn.param(static_cast<int>(i)).index);
     }
 
-    std::unordered_map<std::string_view, BlockId> blocks;
+    NameTable blocks(pf.blocks.size());
     for (const PBlock& pb : pf.blocks) {
-      if (!blocks.emplace(pb.label, BlockId{}).second) {
+      if (!blocks.insert(pb.label, static_cast<std::uint32_t>(fn.num_blocks()))) {
         throw ParseError(pb.loc, "",
                          "duplicate block label '" + std::string(pb.label) +
                              "' (block names are branch targets and must be unique)");
       }
-      blocks[pb.label] = fn.add_block(std::string(pb.label));
+      fn.add_block(std::string(pb.label));
     }
 
     // Pass A: append every instruction (creating its result value) with its
     // operands left empty, so forward references — loop-carried phis — have
-    // a definition to resolve against in pass B.
-    std::vector<std::vector<InstrId>> appended(pf.blocks.size());
+    // a definition to resolve against in pass B. Instructions get
+    // consecutive ids in the order they were parsed.
+    const auto first_id = static_cast<std::uint32_t>(fn.num_instrs());
     for (std::size_t bi = 0; bi < pf.blocks.size(); ++bi) {
       const PBlock& pb = pf.blocks[bi];
-      const BlockId block = blocks[pb.label];
-      for (const PInstr& pi : pb.instrs) {
-        std::vector<BlockId> targets;
-        targets.reserve(pi.targets.size());
-        for (std::size_t t = 0; t < pi.targets.size(); ++t) {
-          const auto it = blocks.find(pi.targets[t]);
-          if (it == blocks.end()) {
-            throw ParseError(pi.target_locs[t], "",
-                             "unknown block '" + std::string(pi.targets[t]) + "'");
+      const BlockId block{static_cast<std::uint32_t>(bi)};
+      for (std::uint32_t k = pb.first_instr; k < pb.end_instr; ++k) {
+        const PInstr& pi = pf.instrs[k];
+        std::vector<BlockId> targets(pi.num_targets);
+        for (std::uint32_t t = 0; t < pi.num_targets; ++t) {
+          const PTarget& target = pf.targets[pi.first_target + t];
+          const std::uint32_t id = blocks.find(target.name);
+          if (id == NameTable::kAbsent) {
+            throw ParseError(target.loc, "",
+                             "unknown block '" + std::string(target.name) + "'");
           }
-          targets.push_back(it->second);
+          targets[t] = BlockId{id};
         }
         std::int64_t imm = pi.imm;
         if (pi.op == Opcode::custom) {
@@ -594,50 +661,49 @@ class Parser {
           }
         }
         const InstrId id = fn.append_instr(block, pi.op, {}, std::move(targets), imm);
-        appended[bi].push_back(id);
-        if (!pi.result.empty()) {
-          const ValueId result = fn.instr(id).result;
-          if (!values.emplace(pi.result, result).second) {
-            throw ParseError(pi.result_loc, "",
-                             "redefinition of value '" + std::string(pi.result) + "'");
-          }
+        if (!pi.result.empty() && !values.insert(pi.result, fn.instr(id).result.index)) {
+          throw ParseError(pi.loc, "",
+                           "redefinition of value '" + std::string(pi.result) + "'");
         }
       }
     }
 
     // Pass B: resolve operands now every name is bound.
-    for (std::size_t bi = 0; bi < pf.blocks.size(); ++bi) {
-      const PBlock& pb = pf.blocks[bi];
-      for (std::size_t k = 0; k < pb.instrs.size(); ++k) {
-        const PInstr& pi = pb.instrs[k];
-        std::vector<ValueId> operands;
-        operands.reserve(pi.operands.size());
-        for (const POperand& po : pi.operands) {
-          if (po.is_const) {
-            operands.push_back(fn.make_konst(po.literal));
-            continue;
-          }
-          const auto it = values.find(po.name);
-          if (it == values.end()) {
-            throw ParseError(po.loc, "",
-                             "use of undefined value '" + std::string(po.name) + "'");
-          }
-          operands.push_back(it->second);
+    for (std::uint32_t k = 0; k < pf.instrs.size(); ++k) {
+      const PInstr& pi = pf.instrs[k];
+      std::vector<ValueId> operands(pi.num_operands);
+      for (std::uint32_t o = 0; o < pi.num_operands; ++o) {
+        const POperand& po = pf.operands[pi.first_operand + o];
+        if (po.name.empty()) {
+          operands[o] = fn.make_konst(po.literal);
+          continue;
         }
-        fn.instr(appended[bi][k]).operands = std::move(operands);
+        const std::uint32_t id = values.find(po.name);
+        if (id == NameTable::kAbsent) {
+          throw ParseError(po.loc, "", "use of undefined value '" + std::string(po.name) + "'");
+        }
+        operands[o] = ValueId{id};
       }
+      fn.instr(InstrId{first_id + k}).operands = std::move(operands);
     }
   }
 
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
-  std::vector<std::pair<Token, SourceLoc>> rom_hints_;
+  Lexer lexer_;
+  Token token_;  // the current token
+  std::vector<RomHint> rom_hints_;
 };
 
 }  // namespace
 
 std::unique_ptr<Module> parse_module(std::string_view text) {
-  return Parser(text).parse();
+  Parser parser(text);
+  try {
+    return parser.parse();
+  } catch (...) {
+    // A lexical error anywhere in the text outranks the one parsing hit.
+    parser.check_rest();
+    throw;
+  }
 }
 
 }  // namespace isex

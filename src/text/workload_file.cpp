@@ -202,7 +202,7 @@ Workload load_workload_string(std::string_view text) {
                 "' not found");
   }
 
-  std::function<std::vector<std::int32_t>(const Module&, const Memory&)> reader;
+  Workload::OutputReader reader;
   if (header.output_segment.empty()) {
     reader = [](const Module&, const Memory&) { return std::vector<std::int32_t>{}; };
   } else {
@@ -220,8 +220,10 @@ Workload load_workload_string(std::string_view text) {
     expected = reader(*module, mem);
   }
 
-  return Workload(std::move(name), std::move(module), std::move(entry),
-                  std::move(header.args), std::move(reader), std::move(expected));
+  // parse_module verified the module before the probe ran it.
+  return Workload(std::move(name), std::move(module), std::move(entry), std::move(header.args),
+                  std::move(reader), std::move(expected),
+                  Workload::ModuleCheck::already_verified);
 }
 
 Workload load_workload_file(const std::string& path) {

@@ -12,10 +12,14 @@
 namespace isex {
 
 Workload::Workload(std::string name, std::unique_ptr<Module> module, std::string entry,
-                   std::vector<std::int32_t> args,
-                   std::function<std::vector<std::int32_t>(const Module&, const Memory&)>
-                       read_outputs,
+                   std::vector<std::int32_t> args, OutputReader read_outputs,
                    std::vector<std::int32_t> expected_outputs)
+    : Workload(std::move(name), std::move(module), std::move(entry), std::move(args),
+               std::move(read_outputs), std::move(expected_outputs), ModuleCheck::verify) {}
+
+Workload::Workload(std::string name, std::unique_ptr<Module> module, std::string entry,
+                   std::vector<std::int32_t> args, OutputReader read_outputs,
+                   std::vector<std::int32_t> expected_outputs, ModuleCheck check)
     : name_(std::move(name)),
       module_(std::move(module)),
       entry_(std::move(entry)),
@@ -24,13 +28,15 @@ Workload::Workload(std::string name, std::unique_ptr<Module> module, std::string
       expected_(std::move(expected_outputs)) {
   ISEX_CHECK(module_ != nullptr, "workload needs a module");
   ISEX_CHECK(module_->find_function(entry_) != nullptr, "missing entry " + entry_);
-  verify_module(*module_);
+  if (check == ModuleCheck::verify) verify_module(*module_);
 
   // Content fingerprint over everything exploration observes: the canonical
   // module text (deterministic by construction), the entry point and the
   // arguments. Computed before any pass runs, so equal sources — builder
   // registry or parsed .isex twin — fingerprint equal.
-  std::uint64_t h = hash_bytes(module_to_string(*module_));
+  ByteHasher text;
+  print_module(*module_, [&text](std::string_view piece) { text.update(piece); });
+  std::uint64_t h = text.finish();
   h = hash_combine(h, hash_bytes(entry_));
   for (const std::int32_t a : args_) {
     h = hash_combine(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)));

@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dfg/dfg.hpp"
@@ -22,9 +23,13 @@ namespace isex {
 
 class Workload {
  public:
+  using OutputReader = std::function<std::vector<std::int32_t>(const Module&, const Memory&)>;
+
+  /// Verifies the module (ir/verifier.hpp) and fingerprints its content.
+  /// load_workload_string hands over modules parse_module has verified
+  /// already, and fingerprints them without a second verify.
   Workload(std::string name, std::unique_ptr<Module> module, std::string entry,
-           std::vector<std::int32_t> args,
-           std::function<std::vector<std::int32_t>(const Module&, const Memory&)> read_outputs,
+           std::vector<std::int32_t> args, OutputReader read_outputs,
            std::vector<std::int32_t> expected_outputs);
 
   const std::string& name() const { return name_; }
@@ -34,14 +39,13 @@ class Workload {
   const std::string& entry_name() const { return entry_; }
   const std::vector<std::int32_t>& args() const { return args_; }
   const std::vector<std::int32_t>& expected_outputs() const { return expected_; }
-  const std::function<std::vector<std::int32_t>(const Module&, const Memory&)>& read_outputs()
-      const {
-    return read_outputs_;
-  }
+  const OutputReader& read_outputs() const { return read_outputs_; }
 
   /// Hash of the workload's observable content at construction: canonical
   /// module text, entry name and arguments. Two workloads with the same
-  /// fingerprint explore identically, whatever their names.
+  /// fingerprint explore identically, whatever their names. The text is
+  /// hashed as the printer produces it, never held whole; the value is
+  /// hash_bytes(module_to_string(module)) folded with the entry and args.
   std::uint64_t content_fingerprint() const { return fingerprint_; }
 
   /// Extraction-cache key: "name#<16-hex fingerprint>". Keying caches on
@@ -74,11 +78,17 @@ class Workload {
   void mark_mutated() { mutated_ = true; }
 
  private:
+  friend Workload load_workload_string(std::string_view text);
+  enum class ModuleCheck { verify, already_verified };
+  Workload(std::string name, std::unique_ptr<Module> module, std::string entry,
+           std::vector<std::int32_t> args, OutputReader read_outputs,
+           std::vector<std::int32_t> expected_outputs, ModuleCheck check);
+
   std::string name_;
   std::unique_ptr<Module> module_;
   std::string entry_;
   std::vector<std::int32_t> args_;
-  std::function<std::vector<std::int32_t>(const Module&, const Memory&)> read_outputs_;
+  OutputReader read_outputs_;
   std::vector<std::int32_t> expected_;
   std::uint64_t fingerprint_ = 0;
   bool preprocessed_ = false;
