@@ -467,8 +467,12 @@ ExplorationReport Explorer::run(const ExplorationRequest& request,
   if (!request.ir_text.empty()) {
     ISEX_CHECK(request.workload.empty(),
                "ExplorationRequest sets both a workload name and ir_text");
+    const Clock::time_point t_load = Clock::now();
     Workload w = load_workload_string(request.ir_text);
-    return run(w, request, hooks);
+    const double load_ms = ms_since(t_load);
+    ExplorationReport report = run(w, request, hooks);
+    report.timings.load_ms = load_ms;
+    return report;
   }
   if (!request.workload.empty()) {
     Workload w = find_workload(request.workload);

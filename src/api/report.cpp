@@ -153,6 +153,7 @@ void write_run_sections(const RunSections& sections, Json& j) {
 
   const ReportTimings& timings = sections.timings;
   Json t = Json::object();
+  if (timings.load_ms) t.set("load_ms", *timings.load_ms);
   t.set("extract_ms", timings.extract_ms);
   t.set("identify_ms", timings.identify_ms);
   t.set("emit_ms", timings.emit_ms);
@@ -193,6 +194,7 @@ void read_run_sections(const Json& j, RunSections& sections) {
   if (const Json* e = j.find("emission")) sections.emission = emission_from_json(*e);
   const Json& t = j.at("timings");
   ReportTimings& timings = sections.timings;
+  if (const Json* l = t.find("load_ms")) timings.load_ms = l->as_double();
   timings.extract_ms = t.at("extract_ms").as_double();
   timings.identify_ms = t.at("identify_ms").as_double();
   if (const Json* e = t.find("emit_ms")) timings.emit_ms = e->as_double();

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,10 @@ struct ValidationReport {
 };
 
 struct ReportTimings {
+  /// Wall time of the ir_text load (parse, verify, interpreter probe,
+  /// fingerprint), which runs before the clock the other fields read
+  /// starts; absent when the request named a registry kernel or graphs.
+  std::optional<double> load_ms;
   double extract_ms = 0.0;   // preprocess + profile + DFG extraction
   double identify_ms = 0.0;  // identification + selection
   double emit_ms = 0.0;      // AFU construction + rewrite-verify + emission

@@ -89,6 +89,29 @@ TEST(TextParity, IrTextRequestsMatchRegistryRequests) {
   EXPECT_EQ(stable(cold_b.run(by_text)), stable(cold_a.run(by_name)));
 }
 
+TEST(TextParity, IrTextReportsTimeTheirLoadAndRegistryReportsDoNot) {
+  ExplorationRequest by_name = small_request();
+  by_name.workload = "crc32";
+  ExplorationRequest by_text = small_request();
+  by_text.ir_text = dump_workload(find_workload("crc32"));
+
+  const Explorer explorer;
+  const ExplorationReport text_report = explorer.run(by_text);
+  ASSERT_TRUE(text_report.timings.load_ms.has_value());
+  EXPECT_GT(*text_report.timings.load_ms, 0.0);
+  const ExplorationReport name_report = explorer.run(by_name);
+  EXPECT_FALSE(name_report.timings.load_ms.has_value());
+  EXPECT_EQ(name_report.to_json().at("timings").find("load_ms"), nullptr);
+
+  // The load runs before the report's clock starts, so total_ms leaves it out.
+  const Json json = text_report.to_json();
+  EXPECT_EQ(json.at("timings").at("load_ms").as_double(), *text_report.timings.load_ms);
+  const ExplorationReport back = ExplorationReport::from_json(json);
+  EXPECT_EQ(back.timings.load_ms, text_report.timings.load_ms);
+  EXPECT_EQ(back.to_json().dump(), json.dump());
+  EXPECT_FALSE(ExplorationReport::from_json(name_report.to_json()).timings.load_ms.has_value());
+}
+
 TEST(TextParity, IrTextAndWorkloadAreMutuallyExclusive) {
   ExplorationRequest request = small_request();
   request.workload = "crc32";
