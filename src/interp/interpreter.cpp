@@ -123,12 +123,12 @@ ExecResult Interpreter::run(const Function& fn, std::span<const std::int32_t> ar
   }
   block_begin.push_back(static_cast<std::uint32_t>(steps.size()));
 
-  std::array<std::uint64_t, opcode_count> cycles{};
+  std::array<std::uint64_t, opcode_count> sw_cycles{};
   for (int op = 0; op < opcode_count; ++op) {
-    cycles[static_cast<std::size_t>(op)] =
+    sw_cycles[static_cast<std::size_t>(op)] =
         static_cast<std::uint64_t>(latency_.sw_cycles(static_cast<Opcode>(op)));
   }
-  const auto cost = [&cycles](Opcode op) { return cycles[static_cast<std::size_t>(op)]; };
+  const auto cost = [&sw_cycles](Opcode op) { return sw_cycles[static_cast<std::size_t>(op)]; };
 
   // Bundle results of custom instructions, keyed by the bundle's slot, and
   // scratch the phis and custom ops reuse from step to step.
@@ -138,19 +138,10 @@ ExecResult Interpreter::run(const Function& fn, std::span<const std::int32_t> ar
   std::vector<std::int32_t> custom_scratch;
 
   ExecResult result;
-  // Counted in locals, which the opaque calls in the loop cannot touch;
-  // `result` gets them when the run ends, or fails.
+  // Counted in locals, which the calls in the loop cannot touch; `result`
+  // gets them when the run returns.
   std::uint64_t instructions = 0;
-  std::uint64_t cycles_total = 0;
-  struct Publish {
-    ExecResult& result;
-    const std::uint64_t& instructions;
-    const std::uint64_t& cycles;
-    ~Publish() {
-      result.instructions = instructions;
-      result.cycles = cycles;
-    }
-  } publish{result, instructions, cycles_total};
+  std::uint64_t cycles = 0;
   BlockId block = fn.entry();
   BlockId prev_block{};  // where we came from, for phi resolution
 
@@ -188,7 +179,7 @@ ExecResult Interpreter::run(const Function& fn, std::span<const std::int32_t> ar
       // Pure opcodes (add .. zext16) branch once, inside eval_op.
       if (step->op >= Opcode::add && step->op <= Opcode::zext16) {
         slots[step->result] = eval_op(step->op, slots[step->a], slots[step->b], slots[step->c]);
-        cycles_total += cost(step->op);
+        cycles += cost(step->op);
         continue;
       }
       switch (step->op) {
@@ -209,7 +200,7 @@ ExecResult Interpreter::run(const Function& fn, std::span<const std::int32_t> ar
           custom_inputs.clear();
           for (ValueId v : ins.operands) custom_inputs.push_back(slots[slot_of(v)]);
           eval_custom_into(cop, custom_inputs, custom_scratch, bundles[step->result]);
-          cycles_total += static_cast<std::uint64_t>(cop.latency_cycles);
+          cycles += static_cast<std::uint64_t>(cop.latency_cycles);
           continue;
         }
         case Opcode::extract: {
@@ -234,13 +225,14 @@ ExecResult Interpreter::run(const Function& fn, std::span<const std::int32_t> ar
           break;
         case Opcode::ret:
           result.return_value = slots[step->a];
-          cycles_total += cost(Opcode::ret);
+          result.instructions = instructions;
+          result.cycles = cycles + cost(Opcode::ret);
           return result;
         default:
           slots[step->result] = eval_op(step->op, slots[step->a], slots[step->b], slots[step->c]);
           break;
       }
-      cycles_total += cost(step->op);
+      cycles += cost(step->op);
     }
     ISEX_ASSERT(advanced, "block fell through without a terminator");
   }

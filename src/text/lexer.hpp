@@ -93,9 +93,6 @@ class Lexer {
   /// True when the next token is the punctuation `c`, without lexing it.
   bool next_is_punct(char c) const;
 
-  /// Bytes of input not lexed yet.
-  std::size_t bytes_left() const { return text_.size() - pos_; }
-
   /// Lexes the rest of the input and throws its first lexical error, if
   /// any. A parser calls this before reporting an error of its own, so the
   /// error reported for a document does not depend on where parsing stopped.

@@ -12,30 +12,31 @@ namespace isex {
 namespace {
 
 /// Open-addressing map from names to ids, sized once for the number of
-/// names it will hold; at most half full, so probes stay short. Names view
-/// the parsed text and are never empty.
+/// names it will hold and at most ~2/3 full, so probes stay short and the
+/// table small. Names view the parsed text and are never empty.
 class NameTable {
  public:
   static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
 
-  explicit NameTable(std::size_t capacity) : slots_(std::bit_ceil(2 * capacity + 2)) {}
+  explicit NameTable(std::size_t capacity) : slots_(std::bit_ceil(capacity + capacity / 2 + 2)) {}
 
   /// Adds `name` -> `id`; false, leaving the table as it was, when the name
   /// is already present.
   bool insert(std::string_view name, std::uint32_t id) {
     Slot& slot = probe(name);
-    if (!slot.name.empty()) return false;
-    slot = {name, id};
+    if (slot.data != nullptr) return false;
+    slot = {name.data(), static_cast<std::uint32_t>(name.size()), id};
     return true;
   }
   std::uint32_t find(std::string_view name) const {
     const Slot& slot = const_cast<NameTable*>(this)->probe(name);
-    return slot.name.empty() ? kAbsent : slot.id;
+    return slot.data != nullptr ? slot.id : kAbsent;
   }
 
  private:
   struct Slot {
-    std::string_view name;
+    const char* data = nullptr;  // null: empty
+    std::uint32_t size = 0;
     std::uint32_t id = kAbsent;
   };
 
@@ -46,7 +47,10 @@ class NameTable {
     const std::size_t mask = slots_.size() - 1;
     for (std::size_t i = static_cast<std::size_t>(h ^ (h >> 32)) & mask;; i = (i + 1) & mask) {
       Slot& slot = slots_[i];
-      if (slot.name.empty() || slot.name == name) return slot;
+      if (slot.data == nullptr ||
+          (slot.size == name.size() && std::string_view(slot.data, slot.size) == name)) {
+        return slot;
+      }
     }
   }
 
@@ -79,8 +83,8 @@ std::int64_t parse_digits(std::string_view digits, std::int64_t limit) {
 
 // The parsed-but-unresolved form below holds names as views into the
 // parsed text, which outlives the parser; only names the Module stores
-// (functions, blocks, segments, custom ops) are copied. A function keeps
-// its instructions, operands and branch targets in three flat arrays.
+// (functions, blocks, segments, custom ops) are copied. Instructions,
+// operands and branch targets go to three flat arrays (ParseArrays).
 
 /// One unresolved operand of a parsed instruction: an integer literal, or a
 /// reference to a parameter / named result (possibly defined later — phis
@@ -120,12 +124,27 @@ struct PFunction {
   std::string_view name;
   std::vector<std::string_view> params;
   std::vector<PBlock> blocks;
-  std::vector<PInstr> instrs;
-  std::vector<POperand> operands;
-  std::vector<PTarget> targets;
+  std::uint32_t first_instr = 0;  // the function's instructions in ParseArrays
+  std::uint32_t end_instr = 0;
   std::size_t num_named_results = 0;
   std::size_t num_literals = 0;
   SourceLoc loc;
+};
+
+/// What a parse collects before it builds the module. Each thread keeps
+/// one, which every parse clears: the arrays keep their capacity, so a
+/// server parsing one large kernel after another neither regrows them nor
+/// has its allocator hand their pages back and fault them in again.
+struct ParseArrays {
+  std::vector<PInstr> instrs;
+  std::vector<POperand> operands;
+  std::vector<PTarget> targets;
+
+  void clear() {
+    instrs.clear();
+    operands.clear();
+    targets.clear();
+  }
 };
 
 /// A ROM hint on a load, checked once the whole segment table is known.
@@ -136,7 +155,9 @@ struct RomHint {
 
 class Parser {
  public:
-  explicit Parser(std::string_view text) : lexer_(text) {}
+  Parser(std::string_view text, ParseArrays& arrays) : lexer_(text), arrays_(arrays) {
+    arrays_.clear();
+  }
 
   std::unique_ptr<Module> parse() {
     token_ = lexer_.next();
@@ -435,13 +456,7 @@ class Parser {
     expect_punct('{');
     expect_line_end();
 
-    // Room for the rest of the text as printed IR, which spends ~22 bytes
-    // on an instruction and ~10 on an operand: the arrays fill without
-    // regrowing, and the pages a short function leaves unused are never
-    // touched.
-    pf.instrs.reserve(lexer_.bytes_left() / 16);
-    pf.operands.reserve(lexer_.bytes_left() / 8);
-
+    pf.first_instr = static_cast<std::uint32_t>(arrays_.instrs.size());
     while (true) {
       skip_newlines();
       if (at_punct('}')) break;
@@ -450,15 +465,16 @@ class Parser {
         const Token label = advance();
         skip();  // ':'
         expect_line_end();
-        PBlock block{label.text, label.loc, static_cast<std::uint32_t>(pf.instrs.size()), 0};
+        PBlock block{label.text, label.loc, static_cast<std::uint32_t>(arrays_.instrs.size()), 0};
         parse_block_body(pf);
-        block.end_instr = static_cast<std::uint32_t>(pf.instrs.size());
+        block.end_instr = static_cast<std::uint32_t>(arrays_.instrs.size());
         pf.blocks.push_back(block);
         continue;
       }
       if (pf.blocks.empty()) fail("block label", peek());
       fail("block label or '}'", peek());  // unreachable for instr lines (parsed below)
     }
+    pf.end_instr = static_cast<std::uint32_t>(arrays_.instrs.size());
     expect_punct('}');
     expect_line_end();
     if (pf.blocks.empty()) {
@@ -481,10 +497,10 @@ class Parser {
     const Token& t = peek();
     if (t.kind == TokenKind::number) {
       if (t.is_float) fail("operand (integer literal or value name)", t);
-      pf.operands.push_back({{}, t.value, t.loc});
+      arrays_.operands.push_back({{}, t.value, t.loc});
       ++pf.num_literals;
     } else if (t.kind == TokenKind::identifier) {
-      pf.operands.push_back({t.text, 0, t.loc});
+      arrays_.operands.push_back({t.text, 0, t.loc});
     } else {
       fail("operand (integer literal or value name)", t);
     }
@@ -492,16 +508,16 @@ class Parser {
     skip();
   }
 
-  void parse_target(PFunction& pf, PInstr& ins, const char* expected) {
+  void parse_target(PInstr& ins, const char* expected) {
     const Token dest = expect_ident(expected);
-    pf.targets.push_back({dest.text, dest.loc});
+    arrays_.targets.push_back({dest.text, dest.loc});
     ++ins.num_targets;
   }
 
   void parse_instr(PFunction& pf) {
     PInstr ins;
-    ins.first_operand = static_cast<std::uint32_t>(pf.operands.size());
-    ins.first_target = static_cast<std::uint32_t>(pf.targets.size());
+    ins.first_operand = static_cast<std::uint32_t>(arrays_.operands.size());
+    ins.first_target = static_cast<std::uint32_t>(arrays_.targets.size());
     Token first = expect_ident("instruction");
     ins.loc = first.loc;
     if (at_punct('=')) {
@@ -536,7 +552,7 @@ class Parser {
           if (ins.num_operands > 0) expect_punct(',');
           parse_operand(pf, ins);
           expect_punct('[');
-          parse_target(pf, ins, "incoming block name");
+          parse_target(ins, "incoming block name");
           expect_punct(']');
         }
         if (ins.num_operands == 0) {
@@ -544,13 +560,13 @@ class Parser {
         }
         break;
       case Opcode::br:
-        parse_target(pf, ins, "target block name");
+        parse_target(ins, "target block name");
         break;
       case Opcode::br_if:
         parse_operand(pf, ins);
         for (int k = 0; k < 2; ++k) {
           expect_punct(',');
-          parse_target(pf, ins, "target block name");
+          parse_target(ins, "target block name");
         }
         break;
       case Opcode::extract: {
@@ -595,7 +611,7 @@ class Parser {
     }
     expect_line_end();
     if (!ins.result.empty()) ++pf.num_named_results;
-    pf.instrs.push_back(ins);
+    arrays_.instrs.push_back(ins);
   }
 
   // --- materialization ------------------------------------------------------
@@ -610,7 +626,8 @@ class Parser {
     rom_hints_.clear();
 
     Function& fn = module.add_function(std::move(fn_name), static_cast<int>(pf.params.size()));
-    fn.reserve(pf.instrs.size(), pf.instrs.size() + pf.num_literals);
+    const std::size_t num_instrs = pf.end_instr - pf.first_instr;
+    fn.reserve(num_instrs, num_instrs + pf.num_literals);
     NameTable values(pf.params.size() + pf.num_named_results);
     for (std::size_t i = 0; i < pf.params.size(); ++i) {
       values.insert(pf.params[i], fn.param(static_cast<int>(i)).index);
@@ -635,10 +652,10 @@ class Parser {
       const PBlock& pb = pf.blocks[bi];
       const BlockId block{static_cast<std::uint32_t>(bi)};
       for (std::uint32_t k = pb.first_instr; k < pb.end_instr; ++k) {
-        const PInstr& pi = pf.instrs[k];
+        const PInstr& pi = arrays_.instrs[k];
         std::vector<BlockId> targets(pi.num_targets);
         for (std::uint32_t t = 0; t < pi.num_targets; ++t) {
-          const PTarget& target = pf.targets[pi.first_target + t];
+          const PTarget& target = arrays_.targets[pi.first_target + t];
           const std::uint32_t id = blocks.find(target.name);
           if (id == NameTable::kAbsent) {
             throw ParseError(target.loc, "",
@@ -669,11 +686,11 @@ class Parser {
     }
 
     // Pass B: resolve operands now every name is bound.
-    for (std::uint32_t k = 0; k < pf.instrs.size(); ++k) {
-      const PInstr& pi = pf.instrs[k];
+    for (std::uint32_t k = pf.first_instr; k < pf.end_instr; ++k) {
+      const PInstr& pi = arrays_.instrs[k];
       std::vector<ValueId> operands(pi.num_operands);
       for (std::uint32_t o = 0; o < pi.num_operands; ++o) {
-        const POperand& po = pf.operands[pi.first_operand + o];
+        const POperand& po = arrays_.operands[pi.first_operand + o];
         if (po.name.empty()) {
           operands[o] = fn.make_konst(po.literal);
           continue;
@@ -684,19 +701,21 @@ class Parser {
         }
         operands[o] = ValueId{id};
       }
-      fn.instr(InstrId{first_id + k}).operands = std::move(operands);
+      fn.instr(InstrId{first_id + (k - pf.first_instr)}).operands = std::move(operands);
     }
   }
 
   Lexer lexer_;
   Token token_;  // the current token
+  ParseArrays& arrays_;
   std::vector<RomHint> rom_hints_;
 };
 
 }  // namespace
 
 std::unique_ptr<Module> parse_module(std::string_view text) {
-  Parser parser(text);
+  thread_local ParseArrays arrays;
+  Parser parser(text, arrays);
   try {
     return parser.parse();
   } catch (...) {
