@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <concepts>
 #include <cstring>
 #include <limits>
 
@@ -17,25 +18,10 @@ class TextWriter {
  public:
   explicit TextWriter(const TextSink& sink) : sink_(sink) {}
 
-  void put(std::string_view s) {
-    if (s.size() > kChunk - used_) {
-      flush();
-      if (s.size() > kChunk) {
-        sink_(s);
-        return;
-      }
-    }
-    std::memcpy(buf_ + used_, s.data(), s.size());
-    used_ += s.size();
-  }
-  void put(char c) {
-    if (used_ == kChunk) flush();
-    buf_[used_++] = c;
-  }
-  template <typename Int>
-  void put_int(Int v) {
-    char* const at = room(kIntChars);
-    used_ = static_cast<std::size_t>(std::to_chars(at, at + kIntChars, v).ptr - buf_);
+  /// Appends each part: text, a character or an integer in decimal.
+  template <typename... Parts>
+  void put(const Parts&... parts) {
+    (put_one(parts), ...);
   }
   void put_name(const ValueNames& names, ValueId v) {
     used_ = static_cast<std::size_t>(names.write(v, room(ValueNames::kMaxNameLength)) - buf_);
@@ -49,6 +35,26 @@ class TextWriter {
   static constexpr std::size_t kChunk = 16384;
   static constexpr std::size_t kIntChars = 20;  // "-9223372036854775808"
 
+  void put_one(std::string_view s) {
+    if (s.size() > kChunk - used_) {
+      flush();
+      if (s.size() > kChunk) {
+        sink_(s);
+        return;
+      }
+    }
+    std::memcpy(buf_ + used_, s.data(), s.size());
+    used_ += s.size();
+  }
+  void put_one(char c) {
+    if (used_ == kChunk) flush();
+    buf_[used_++] = c;
+  }
+  template <std::integral Int>
+  void put_one(Int v) {
+    char* const at = room(kIntChars);
+    used_ = static_cast<std::size_t>(std::to_chars(at, at + kIntChars, v).ptr - buf_);
+  }
   char* room(std::size_t n) {
     if (kChunk - used_ < n) flush();
     return buf_ + used_;
@@ -61,82 +67,50 @@ class TextWriter {
 
 /// Shortest decimal form that parses back to exactly the same double — keeps
 /// custom-op area annotations byte-stable through print -> parse -> print.
-void put_double(TextWriter& out, double v) {
-  char buf[64];
+std::string_view shortest(double v, char (&buf)[64]) {
   const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  out.put(ec == std::errc() ? std::string_view(buf, static_cast<std::size_t>(ptr - buf)) : "0");
+  return ec == std::errc() ? std::string_view(buf, static_cast<std::size_t>(ptr - buf)) : "0";
 }
 
-/// Operand-space name inside a custom-op micro-program: t0..t(k-1) are the
-/// instruction's inputs, t(k+i) is micro i's result.
-void put_micro_operand(TextWriter& out, int index) {
-  out.put('t');
-  out.put_int(index);
-}
-
+// Operand-space names inside a custom-op micro-program are tN: t0..t(k-1)
+// are the instruction's inputs, t(k+i) is micro i's result.
 void print_custom_op(TextWriter& out, const CustomOp& op) {
-  out.put("  custom ");
-  out.put(op.name);
-  out.put(" inputs ");
-  out.put_int(op.num_inputs);
-  out.put(" latency ");
-  out.put_int(op.latency_cycles);
-  out.put(" area ");
-  put_double(out, op.area_macs);
-  out.put(" {\n");
+  char area[64];
+  out.put("  custom ", op.name, " inputs ", op.num_inputs, " latency ", op.latency_cycles,
+          " area ", shortest(op.area_macs, area), " {\n");
   for (std::size_t i = 0; i < op.micros.size(); ++i) {
     const CustomOp::Micro& m = op.micros[i];
-    out.put("    ");
-    put_micro_operand(out, op.num_inputs + static_cast<int>(i));
-    out.put(" = ");
-    out.put(name_of(m.op));
+    out.put("    t", op.num_inputs + static_cast<int>(i), " = ", name_of(m.op));
     if (m.op == Opcode::konst) {
-      out.put(' ');
-      out.put_int(m.imm);
+      out.put(' ', m.imm);
     } else {
-      bool first = true;
+      const char* sep = " t";
       for (const int operand : {m.a, m.b, m.c}) {
         if (operand < 0) continue;
-        out.put(first ? " " : ", ");
-        put_micro_operand(out, operand);
-        first = false;
+        out.put(sep, operand);
+        sep = ", t";
       }
       if (m.op == Opcode::load) {
-        out.put(", rom ");
-        out.put_int(m.imm);
+        out.put(", rom ", m.imm);
       } else if (m.imm != 0) {
-        out.put(", #");
-        out.put_int(m.imm);
+        out.put(", #", m.imm);
       }
     }
     out.put('\n');
   }
   out.put("    out");
-  for (std::size_t i = 0; i < op.outputs.size(); ++i) {
-    out.put(i == 0 ? " " : ", ");
-    put_micro_operand(out, op.outputs[i]);
-  }
+  for (std::size_t i = 0; i < op.outputs.size(); ++i) out.put(i == 0 ? " t" : ", t", op.outputs[i]);
   out.put("\n  }\n");
 }
 
 void print_function(TextWriter& out, const Module& module, const Function& fn) {
-  out.put("func ");
-  out.put(fn.name());
-  out.put('(');
-  for (int i = 0; i < fn.num_params(); ++i) {
-    if (i) out.put(", ");
-    out.put("arg");
-    out.put_int(i);
-  }
+  out.put("func ", fn.name(), '(');
+  for (int i = 0; i < fn.num_params(); ++i) out.put(i == 0 ? "arg" : ", arg", i);
   out.put(") {\n");
   const ValueNames names(fn);
   for (std::size_t bi = 0; bi < fn.num_blocks(); ++bi) {
-    const BlockId b{static_cast<std::uint32_t>(bi)};
-    const BasicBlock& bb = fn.block(b);
-    out.put(bb.name);
-    out.put(":  ; bb");
-    out.put_int(bi);
-    out.put('\n');
+    const BasicBlock& bb = fn.block(BlockId{static_cast<std::uint32_t>(bi)});
+    out.put(bb.name, ":  ; bb", bi, '\n');
     for (InstrId id : bb.instrs) {
       const Instruction& ins = fn.instr(id);
       if (ins.dead) continue;
@@ -147,37 +121,25 @@ void print_function(TextWriter& out, const Module& module, const Function& fn) {
       }
       out.put(name_of(ins.op));
       if (ins.op == Opcode::custom) {
-        out.put('.');
-        out.put(module.custom_op(static_cast<int>(ins.imm)).name);
+        out.put('.', module.custom_op(static_cast<int>(ins.imm)).name);
       }
-      bool first = true;
+      const char* sep = " ";
       for (std::size_t k = 0; k < ins.operands.size(); ++k) {
-        out.put(first ? " " : ", ");
+        out.put(sep);
         out.put_name(names, ins.operands[k]);
-        if (ins.op == Opcode::phi) {
-          out.put(" [");
-          out.put(fn.block(ins.targets[k]).name);
-          out.put(']');
-        }
-        first = false;
+        if (ins.op == Opcode::phi) out.put(" [", fn.block(ins.targets[k]).name, ']');
+        sep = ", ";
       }
       for (std::size_t k = (ins.op == Opcode::phi ? ins.targets.size() : 0);
            k < ins.targets.size(); ++k) {
-        out.put(first ? " " : ", ");
-        out.put(fn.block(ins.targets[k]).name);
-        first = false;
+        out.put(sep, fn.block(ins.targets[k]).name);
+        sep = ", ";
       }
-      if (ins.op == Opcode::extract) {
-        out.put(", #");
-        out.put_int(ins.imm);
-      }
+      if (ins.op == Opcode::extract) out.put(", #", ins.imm);
       // ROM hint on a load: imm = 1 + read-only segment index. Dropping it
       // would silently change what the DFG extractor admits into cuts, so
       // the textual form carries it explicitly.
-      if (ins.op == Opcode::load && ins.imm > 0) {
-        out.put(", rom ");
-        out.put_int(ins.imm - 1);
-      }
+      if (ins.op == Opcode::load && ins.imm > 0) out.put(", rom ", ins.imm - 1);
       out.put('\n');
     }
   }
@@ -226,26 +188,12 @@ std::string ValueNames::name(ValueId v) const {
 
 void print_module(const Module& module, const TextSink& sink) {
   TextWriter out(sink);
-  out.put("module ");
-  out.put(module.name());
-  out.put('\n');
+  out.put("module ", module.name(), '\n');
   for (const MemSegment& seg : module.segments()) {
-    out.put("  segment ");
-    out.put(seg.name);
-    out.put(" @");
-    out.put_int(seg.base);
-    out.put(" x");
-    out.put_int(seg.size_words);
+    out.put("  segment ", seg.name, " @", seg.base, " x", seg.size_words);
     if (seg.read_only) out.put(" ro");
-    if (!seg.init.empty()) {
-      out.put(" init [");
-      for (std::size_t i = 0; i < seg.init.size(); ++i) {
-        if (i > 0) out.put(", ");
-        out.put_int(seg.init[i]);
-      }
-      out.put(']');
-    }
-    out.put('\n');
+    for (std::size_t i = 0; i < seg.init.size(); ++i) out.put(i == 0 ? " init [" : ", ", seg.init[i]);
+    out.put(seg.init.empty() ? "\n" : "]\n");
   }
   for (std::size_t i = 0; i < module.num_custom_ops(); ++i) {
     print_custom_op(out, module.custom_op(static_cast<int>(i)));
