@@ -27,11 +27,10 @@ Interpreter::Interpreter(const Module& module, Memory& memory, const LatencyMode
     : module_(module), memory_(memory), latency_(latency), options_(options) {}
 
 void Interpreter::eval_custom_into(const CustomOp& op, std::span<const std::int32_t> inputs,
-                                   std::vector<std::int32_t>& scratch,
+                                   std::vector<std::int32_t>& slots,
                                    std::vector<std::int32_t>& outputs) const {
   ISEX_CHECK(static_cast<int>(inputs.size()) == op.num_inputs,
              "custom op input arity mismatch: " + op.name);
-  std::vector<std::int32_t>& slots = scratch;
   slots.assign(static_cast<std::size_t>(op.num_inputs) + op.micros.size(), 0);
   for (int i = 0; i < op.num_inputs; ++i) slots[static_cast<std::size_t>(i)] = inputs[i];
 

@@ -52,10 +52,10 @@ class Interpreter {
                                         std::span<const std::int32_t> inputs) const;
 
  private:
-  /// eval_custom into `outputs`, with `scratch` holding the micro results;
-  /// allocates only to grow the two vectors.
+  /// eval_custom into `outputs`, with `slots` holding the inputs and the
+  /// micro results; allocates only to grow the two vectors.
   void eval_custom_into(const CustomOp& op, std::span<const std::int32_t> inputs,
-                        std::vector<std::int32_t>& scratch,
+                        std::vector<std::int32_t>& slots,
                         std::vector<std::int32_t>& outputs) const;
 
   const Module& module_;

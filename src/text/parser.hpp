@@ -38,7 +38,10 @@ namespace isex {
 
 /// Parses one textual module and verifies it (ir/verifier.hpp); the returned
 /// module always satisfies the structural invariants the rest of the library
-/// assumes. Throws ParseError on any malformed input.
+/// assumes, and needs no second verify (load_workload_string does none).
+/// Throws ParseError on any malformed input. Tokens are lexed as the parse
+/// needs them; a failing parse lexes the rest of the text first, so a bad
+/// byte anywhere in it is the error reported, ahead of any syntax error.
 std::unique_ptr<Module> parse_module(std::string_view text);
 
 }  // namespace isex

@@ -31,6 +31,7 @@ std::string dump_workload(const Workload& workload);
 
 /// Parses a `.isex` document. Throws ParseError (header or module syntax,
 /// locations relative to the whole document) or Error (probe run failed).
+/// The module is verified once, by parse_module, before the probe runs it.
 Workload load_workload_string(std::string_view text);
 
 /// Reads `path` and loads it. The workload's name comes from the file
