@@ -14,41 +14,10 @@ CollapseResult collapse(const Dfg& g, const BitVector& members, const std::strin
   r.graph.set_exec_freq(g.exec_freq());
   r.old_to_new.assign(g.num_nodes(), NodeId{});
 
-  // Copy survivors (preserving order), then append the super node.
+  // Copy survivors (preserving order), then append the super node. A
+  // survivor keeps every field of its source; only its edges are re-created.
   for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-    const NodeId n{i};
-    if (members.test(i)) continue;
-    const DfgNode& src = g.node(n);
-    NodeId nid;
-    switch (src.kind) {
-      case NodeKind::constant:
-        nid = r.graph.add_constant(src.imm);
-        break;
-      case NodeKind::input:
-        nid = r.graph.add_input(src.label);
-        break;
-      case NodeKind::output: {
-        // outputs get re-added after their producer exists; reserve by
-        // creating a placeholder input we fix below is messy — instead,
-        // create as op and fix kind.
-        nid = r.graph.add_op(src.op, src.label);
-        DfgNode& fixed = r.graph.node_mutable(nid);
-        fixed.kind = NodeKind::output;
-        fixed.forbidden = true;
-        break;
-      }
-      case NodeKind::op: {
-        nid = src.forbidden ? r.graph.add_forbidden_op(src.op, src.label)
-                            : r.graph.add_op(src.op, src.label);
-        DfgNode& fixed = r.graph.node_mutable(nid);
-        fixed.instr = src.instr;
-        fixed.value = src.value;
-        fixed.imm = src.imm;
-        fixed.rom_load = src.rom_load;
-        break;
-      }
-    }
-    r.old_to_new[i] = nid;
+    if (!members.test(i)) r.old_to_new[i] = r.graph.copy_node(g.node(NodeId{i}));
   }
 
   r.super = r.graph.add_forbidden_op(Opcode::custom, label);

@@ -1,6 +1,7 @@
 #include "dfg/dfg.hpp"
 
-#include <algorithm>
+#include <functional>
+#include <queue>
 #include <unordered_map>
 
 #include "ir/printer.hpp"
@@ -66,6 +67,12 @@ NodeId Dfg::add_output(NodeId producer, std::string label) {
   return id;
 }
 
+NodeId Dfg::copy_node(const DfgNode& source) {
+  DfgNode n;
+  static_cast<DfgNodeFields&>(n) = source;
+  return add_node(std::move(n));
+}
+
 void Dfg::add_edge(NodeId from, NodeId to, bool order_only) {
   ISEX_CHECK(from.valid() && to.valid() && from.index < nodes_.size() && to.index < nodes_.size(),
              "add_edge: invalid node");
@@ -103,18 +110,18 @@ void Dfg::finalize() {
     in_deg[i] = static_cast<std::uint32_t>(nodes_[i].preds.size());
   }
   std::vector<NodeId> forward;
-  std::vector<NodeId> ready;
+  forward.reserve(nodes_.size());
+  // Deterministic order: smallest ready id first, from a min-heap.
+  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>, std::greater<>> ready;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (in_deg[i] == 0) ready.push_back(NodeId{static_cast<std::uint32_t>(i)});
+    if (in_deg[i] == 0) ready.push(static_cast<std::uint32_t>(i));
   }
-  // Deterministic order: smallest id first.
   while (!ready.empty()) {
-    std::sort(ready.begin(), ready.end(), [](NodeId a, NodeId b) { return a.index > b.index; });
-    const NodeId n = ready.back();
-    ready.pop_back();
+    const NodeId n{ready.top()};
+    ready.pop();
     forward.push_back(n);
     for (NodeId s : nodes_[n.index].succs) {
-      if (--in_deg[s.index] == 0) ready.push_back(s);
+      if (--in_deg[s.index] == 0) ready.push(s.index);
     }
   }
   ISEX_CHECK(forward.size() == nodes_.size(), "DFG contains a cycle");

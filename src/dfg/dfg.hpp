@@ -36,7 +36,8 @@ struct DfgEdge {
   bool order_only = false;  // memory-ordering edge, carries no value
 };
 
-struct DfgNode {
+/// Everything a node is apart from its edges.
+struct DfgNodeFields {
   NodeKind kind = NodeKind::op;
   Opcode op = Opcode::add;   // op nodes only
   std::int64_t imm = 0;      // constant literal / rom hint payload
@@ -46,7 +47,9 @@ struct DfgNode {
   bool rom_load = false;     // admissible load from a read-only table
   std::uint32_t rom_words = 0;  // table size backing a rom_load (area model)
   std::string label;
+};
 
+struct DfgNode : DfgNodeFields {
   // Adjacency (deduplicated). `pred_data`/`succ_data` parallel flags are
   // false for order-only edges.
   std::vector<NodeId> preds;
@@ -76,6 +79,8 @@ class Dfg {
   NodeId add_input(std::string label = {});
   /// Adds a V+ output node fed by `producer`.
   NodeId add_output(NodeId producer, std::string label = {});
+  /// Appends a node carrying every field of `source` but none of its edges.
+  NodeId copy_node(const DfgNode& source);
   void add_edge(NodeId from, NodeId to, bool order_only = false);
   /// Computes orders, the descendant closure and the data-adjacency masks;
   /// must be called after manual construction.

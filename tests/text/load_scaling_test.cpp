@@ -8,12 +8,10 @@
 // measured again up to twice: a quadratic step exceeds it every time, noise
 // rarely three times in a row.
 #include <gtest/gtest.h>
-#include <time.h>
 
-#include <algorithm>
-#include <limits>
 #include <string>
 
+#include "../support/thread_cpu.hpp"
 #include "ir/printer.hpp"
 #include "text/corpus_gen.hpp"
 #include "text/workload_file.hpp"
@@ -22,25 +20,6 @@ namespace isex {
 namespace {
 
 constexpr double kMaxCostRatio = 24.0;  // for an 8x larger input
-
-/// CPU time of the calling thread, so time spent waiting for a core is
-/// not counted as load cost.
-double thread_cpu_ms() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
-}
-
-template <typename Fn>
-double best_of_three_ms(Fn&& fn) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int k = 0; k < 3; ++k) {
-    const double start = thread_cpu_ms();
-    fn();
-    best = std::min(best, thread_cpu_ms() - start);
-  }
-  return best;
-}
 
 struct LoadCost {
   double load_ms = 0;   // load_workload_string: parse, verify, probe, fingerprint
