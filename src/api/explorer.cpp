@@ -1,6 +1,7 @@
 #include "api/explorer.hpp"
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <optional>
 
@@ -21,11 +22,15 @@ double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-/// One application of a run: a workload (caller-owned, or a registry or
-/// ir_text instance owned by the entry point) or pre-extracted graphs, with
-/// the name its report and cache attribution carry.
+/// One application of a run: a workload (caller-owned, or an ir_text or file
+/// instance owned by the entry point), a registry kernel, or pre-extracted
+/// graphs, with the name its report and cache attribution carry.
 struct Application {
-  Workload* workload = nullptr;  // null for pre-extracted graphs
+  Workload* workload = nullptr;  // null for registry kernels and graphs
+  /// A registry kernel's extraction-cache key (registry_cache_key(name)).
+  /// The run builds the kernel only if it misses the extraction cache or
+  /// reads the module: AFUs, module-reading emitters, the rewrite.
+  const std::string* registry_key = nullptr;
   std::span<const Dfg> graphs;
   std::string name;
   double weight = 1.0;
@@ -61,28 +66,31 @@ struct ExtractedBlocks {
   double base_cycles = 0.0;
 };
 
-/// Profiles `workload` and extracts its DFGs through the extraction cache
-/// (unless `use_dfg_cache` is false — rewriting runs and mutated instances
-/// must bypass it). With `need_module` the workload is preprocessed even on
-/// a cache hit, so AFU construction can read it.
-ExtractedBlocks extract_workload(ResultCache& cache, Workload& workload,
+/// Profiles a workload and extracts its DFGs through the extraction cache
+/// under `key`, its content-fingerprinted cache key (unless `use_dfg_cache`
+/// is false — rewriting runs and mutated instances must bypass it).
+/// `workload` returns the instance, building it on first use; a cache hit
+/// calls it only with `need_module`, which preprocesses the workload so AFU
+/// construction can read it.
+ExtractedBlocks extract_workload(ResultCache& cache, const std::string& key,
+                                 const std::function<Workload&()>& workload,
                                  const DfgOptions& options, bool use_dfg_cache,
                                  bool need_module, CacheCounters* local) {
   ExtractedBlocks out;
   // Cache under the content-fingerprinted key: a parsed .isex twin of a
   // registry kernel warm-hits its entries, and a divergent module served
   // under a familiar name cannot poison them.
-  const std::string key = workload.cache_key();
   if (use_dfg_cache &&
       (out.graphs = cache.lookup_dfgs(key, options, &out.base_cycles, local))) {
     // AFU construction reads the module, which a fresh workload instance
     // only has in shape after preprocessing (idempotent when already done).
-    if (need_module) workload.preprocess();
+    if (need_module) workload().preprocess();
     return out;
   }
-  workload.preprocess();
+  Workload& w = workload();
+  w.preprocess();
   out.graphs = std::make_shared<const std::vector<Dfg>>(
-      workload.extract_dfgs(options, &out.base_cycles));
+      w.extract_dfgs(options, &out.base_cycles));
   if (use_dfg_cache) cache.store_dfgs(key, options, out.graphs, out.base_cycles, local);
   return out;
 }
@@ -140,8 +148,11 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
   // Reject contradictory or no-op emission requests before any work runs
   // (e.g. a Verilog target on a graph-only application).
   const EmissionOptions& emission = run.emission;
+  const auto has_module = [](const Application& app) {
+    return app.workload != nullptr || app.registry_key != nullptr;
+  };
   bool have_modules = true;
-  for (const Application& app : apps) have_modules = have_modules && app.workload != nullptr;
+  for (const Application& app : apps) have_modules = have_modules && has_module(app);
   if (emission.active()) {
     validate_emission_options(emission, explorer.emitters(), have_modules);
     if (!exploration && emission.build_afus) {
@@ -180,6 +191,16 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
     cancel = &deadline_token;
   }
 
+  // Registry kernels are built on first use and live for the whole run:
+  // emission reads their modules after selection (and a verifying rewrite
+  // mutates them).
+  std::vector<std::optional<Workload>> built(apps.size());
+  const auto workload_of = [&](std::size_t i) -> Workload& {
+    if (apps[i].workload != nullptr) return *apps[i].workload;
+    if (!built[i]) built[i].emplace(find_workload(apps[i].name));
+    return *built[i];
+  };
+
   // --- profile + extract every application ---------------------------------
   std::vector<ExtractedBlocks> extracted(apps.size());
   std::vector<WorkloadBundle> bundles(apps.size());
@@ -189,15 +210,18 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
     WorkloadBundle& bundle = bundles[i];
     bundle.name = app.name;
     bundle.weight = app.weight;
-    if (app.workload != nullptr) {
+    if (has_module(app)) {
       // A verifying rewrite mutates the module the graphs are extracted
       // from, so it neither consumes nor feeds the extraction cache; an
       // already-mutated instance must never feed it either (its graphs no
       // longer describe the pristine kernel of that name).
-      const bool use_dfg_cache =
-          run.use_cache && !emission.verify_rewrites && !app.workload->mutated();
-      extracted[i] = extract_workload(explorer.cache(), *app.workload, app.dfg_options,
-                                      use_dfg_cache, need_module, &local);
+      const bool use_dfg_cache = run.use_cache && !emission.verify_rewrites &&
+                                 (app.workload == nullptr || !app.workload->mutated());
+      const std::string key =
+          app.workload != nullptr ? app.workload->cache_key() : *app.registry_key;
+      extracted[i] = extract_workload(
+          explorer.cache(), key, [&]() -> Workload& { return workload_of(i); },
+          app.dfg_options, use_dfg_cache, need_module, &local);
       bundle.blocks = *extracted[i].graphs;
       bundle.base_cycles = extracted[i].base_cycles;
     } else {
@@ -344,7 +368,7 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
     if (!afus_from_rewrite && (emission.build_afus || emitters_need_module)) {
       for (std::size_t j = 0; j < selection.cuts.size(); ++j) {
         const PortfolioSelectedCut& sc = selection.cuts[j];
-        Workload& origin = *apps[static_cast<std::size_t>(sc.origin.bundle_index)].workload;
+        Workload& origin = workload_of(static_cast<std::size_t>(sc.origin.bundle_index));
         ops.push_back(build_afu(origin.module(), origin.entry(), block_of(sc.origin), sc.cut,
                                 explorer.latency(), run.name_prefix + std::to_string(j))
                           .op);
@@ -363,7 +387,7 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
         for (const int j : instruction_indices) {
           names.push_back(run.name_prefix + std::to_string(j));
         }
-        Workload& workload = *apps[i].workload;
+        Workload& workload = workload_of(i);
         const RewriteVerification rv = rewrite_and_verify(
             workload, bundles[i].blocks, sel, explorer.latency(), run.name_prefix, names);
         fill_validation(bundles[i].base_cycles, rv, report.workloads[i].validation);
@@ -376,8 +400,8 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
     }
     if (!emission.targets.empty()) {
       std::vector<const Module*> modules;
-      for (const Application& app : apps) {
-        modules.push_back(app.workload != nullptr ? &app.workload->module() : nullptr);
+      for (std::size_t i = 0; i < apps.size(); ++i) {
+        modules.push_back(has_module(apps[i]) ? &workload_of(i).module() : nullptr);
       }
       const EmissionPlan plan = plan_from_portfolio(bundles, modules, selection, ops,
                                                     report.scheme, run.name_prefix);
@@ -475,7 +499,12 @@ ExplorationReport Explorer::run(const ExplorationRequest& request,
     return report;
   }
   if (!request.workload.empty()) {
-    Workload w = find_workload(request.workload);
+    if (const std::string* key = registry_cache_key(request.workload)) {
+      return explore_one(*this,
+                         {nullptr, key, {}, request.workload, 1.0, request.dfg_options},
+                         request, hooks);
+    }
+    Workload w = find_workload(request.workload);  // a file path, or unknown
     return run(w, request, hooks);
   }
   ISEX_CHECK(!request.graphs.empty(),
@@ -485,22 +514,23 @@ ExplorationReport Explorer::run(const ExplorationRequest& request,
 
 ExplorationReport Explorer::run(Workload& workload, const ExplorationRequest& request,
                                 const RunHooks& hooks) const {
-  return explore_one(*this, {&workload, {}, workload.name(), 1.0, request.dfg_options}, request,
-                 hooks);
+  return explore_one(*this, {&workload, nullptr, {}, workload.name(), 1.0, request.dfg_options},
+                     request, hooks);
 }
 
 ExplorationReport Explorer::run_blocks(std::span<const Dfg> blocks,
                                        const ExplorationRequest& request,
                                        const RunHooks& hooks) const {
   ISEX_CHECK(!blocks.empty(), "no graphs to explore");
-  return explore_one(*this, {nullptr, blocks, "", 1.0, request.dfg_options}, request, hooks);
+  return explore_one(*this, {nullptr, nullptr, blocks, "", 1.0, request.dfg_options}, request,
+                     hooks);
 }
 
 PortfolioReport Explorer::run_portfolio(const MultiExplorationRequest& request,
                                         const RunHooks& hooks) const {
   ISEX_CHECK(!request.workloads.empty(),
              "MultiExplorationRequest needs at least one workload");
-  // Registry instances stay alive for the whole run: emission reads their
+  // File instances stay alive for the whole run: emission reads their
   // modules after selection (and a verifying rewrite mutates them).
   std::vector<std::unique_ptr<Workload>> instances;
   std::vector<Application> apps;
@@ -508,10 +538,13 @@ PortfolioReport Explorer::run_portfolio(const MultiExplorationRequest& request,
     const PortfolioWorkloadRequest& wr = request.workloads[i];
     ISEX_CHECK(wr.weight > 0, "portfolio workload " + std::to_string(i) +
                                   " needs a positive weight");
-    Application app{nullptr, {}, wr.workload, wr.weight, wr.dfg_options};
+    Application app{nullptr, nullptr, {}, wr.workload, wr.weight, wr.dfg_options};
     if (!wr.workload.empty()) {
-      instances.push_back(std::make_unique<Workload>(find_workload(wr.workload)));
-      app.workload = instances.back().get();
+      app.registry_key = registry_cache_key(wr.workload);
+      if (app.registry_key == nullptr) {  // a file path, or unknown
+        instances.push_back(std::make_unique<Workload>(find_workload(wr.workload)));
+        app.workload = instances.back().get();
+      }
     } else {
       ISEX_CHECK(!wr.graphs.empty(), "portfolio workload " + std::to_string(i) +
                                          " needs a workload name or graphs");

@@ -1,8 +1,5 @@
 #include "cache/fingerprint.hpp"
 
-#include <algorithm>
-#include <vector>
-
 #include "support/hash.hpp"
 
 namespace isex {
@@ -23,55 +20,9 @@ std::uint64_t node_content_hash(const DfgNode& n) {
   return h;
 }
 
-/// Order-invariant digest of neighbour labels tagged with their edge kind.
-std::uint64_t neighbour_digest(const std::vector<std::uint64_t>& labels,
-                               const std::vector<NodeId>& neighbours,
-                               const std::vector<std::uint8_t>& is_data,
-                               std::uint64_t tag) {
-  std::vector<std::uint64_t> xs;
-  xs.reserve(neighbours.size());
-  for (std::size_t k = 0; k < neighbours.size(); ++k) {
-    xs.push_back(hash_combine(labels[neighbours[k].index], is_data[k]));
-  }
-  std::sort(xs.begin(), xs.end());
-  return hash_span(xs, tag);
-}
+}  // namespace
 
-std::size_t count_distinct(std::vector<std::uint64_t> labels) {
-  std::sort(labels.begin(), labels.end());
-  return static_cast<std::size_t>(
-      std::unique(labels.begin(), labels.end()) - labels.begin());
-}
-
-std::uint64_t structural_hash(const Dfg& g) {
-  const std::size_t n = g.num_nodes();
-  std::vector<std::uint64_t> label(n), next(n);
-  for (std::size_t i = 0; i < n; ++i) label[i] = node_content_hash(g.node(NodeId(i)));
-
-  // Refine until the partition into label classes stops growing. A DAG's WL
-  // colouring stabilises within its depth; the distinct-count test detects
-  // that without tracking the partition explicitly.
-  std::size_t distinct = count_distinct(label);
-  for (std::size_t round = 0; round < n; ++round) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const DfgNode& node = g.node(NodeId(i));
-      std::uint64_t h = label[i];
-      h = hash_combine(h, neighbour_digest(label, node.preds, node.pred_is_data, 1));
-      h = hash_combine(h, neighbour_digest(label, node.succs, node.succ_is_data, 2));
-      next[i] = h;
-    }
-    label.swap(next);
-    const std::size_t refined = count_distinct(label);
-    if (refined == distinct) break;
-    distinct = refined;
-  }
-
-  std::sort(label.begin(), label.end());
-  std::uint64_t h = hash_span(label, hash_combine(kHashSeed, n));
-  return hash_combine(h, hash_double(g.exec_freq()));
-}
-
-std::uint64_t exact_hash(const Dfg& g) {
+DfgFingerprint dfg_fingerprint(const Dfg& g) {
   std::uint64_t h = hash_combine(kHashSeed ^ 0xE8AC7ull, g.num_nodes());
   for (std::size_t i = 0; i < g.num_nodes(); ++i) {
     const DfgNode& node = g.node(NodeId(i));
@@ -81,16 +32,7 @@ std::uint64_t exact_hash(const Dfg& g) {
       h = hash_combine(h, hash_combine(node.preds[k].index, node.pred_is_data[k]));
     }
   }
-  return hash_combine(h, hash_double(g.exec_freq()));
-}
-
-}  // namespace
-
-DfgFingerprint dfg_fingerprint(const Dfg& g) {
-  DfgFingerprint fp;
-  fp.structural = structural_hash(g);
-  fp.exact = exact_hash(g);
-  return fp;
+  return {hash_combine(h, hash_double(g.exec_freq()))};
 }
 
 std::uint64_t constraints_signature(const Constraints& c) {

@@ -2,23 +2,22 @@
 // ResultCache (identification on a (block, constraints, latency-model)
 // triple is pure, so equal keys may share one memoised result).
 //
-// `structural` is a Weisfeiler-Leman style refinement hash: it is invariant
-// under node-id permutations (the same logical graph built in any insertion
-// order hashes equal) and separates structurally distinct graphs with
-// 64-bit collision probability. Because identification results are expressed
-// as bit vectors *over node ids*, a structural match alone must never serve
-// a cached cut to a merely-isomorphic graph whose ids are permuted — the
-// bits would point at the wrong nodes. The `exact` component guards that: it
-// hashes the concrete id-ordered representation, so permuted isomorphs miss
-// instead of receiving a misindexed result.
+// A graph's key is `exact`, one linear hash of its concrete id-ordered
+// representation. Identification results are bit vectors *over node ids*,
+// so only a graph with the same ids may share one: a permuted isomorph must
+// miss rather than receive a cut whose bits point at the wrong nodes. An
+// isomorphism-invariant (Weisfeiler-Leman) hash therefore never decided a
+// hit; it only added key bits, at over ten times the exact hash's cost, and
+// was removed.
 //
-// Cosmetic state (node labels, the graph name) is excluded from both hashes;
-// everything that influences an identification result — topology, opcodes,
-// constant values, forbidden/ROM flags and the execution frequency that
-// weights merits — is included.
+// Cosmetic state (node labels, the graph name) is excluded; everything that
+// influences an identification result — topology, opcodes, constant values,
+// forbidden/ROM flags and the execution frequency that weights merits — is
+// included.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
 #include "core/constraints.hpp"
 #include "dfg/dfg.hpp"
@@ -27,8 +26,6 @@
 namespace isex {
 
 struct DfgFingerprint {
-  /// Node-id-permutation-invariant structure hash.
-  std::uint64_t structural = 0;
   /// Hash of the concrete (id-ordered) representation.
   std::uint64_t exact = 0;
 
@@ -49,3 +46,11 @@ std::uint64_t latency_signature(const LatencyModel& m);
 std::uint64_t dfg_options_signature(const DfgOptions& o);
 
 }  // namespace isex
+
+/// A fingerprint is already a well-mixed 64-bit hash; tables key on it as is.
+template <>
+struct std::hash<isex::DfgFingerprint> {
+  std::size_t operator()(const isex::DfgFingerprint& fp) const noexcept {
+    return static_cast<std::size_t>(fp.exact);
+  }
+};

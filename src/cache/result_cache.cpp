@@ -48,8 +48,7 @@ std::string dfg_key(const std::string& workload, const DfgOptions& options) {
 }  // namespace
 
 std::size_t ResultCache::MemoKeyHash::operator()(const MemoKey& k) const {
-  std::uint64_t h = hash_combine(k.fingerprint.structural, k.fingerprint.exact);
-  h = hash_combine(h, k.latency_sig);
+  std::uint64_t h = hash_combine(std::hash<DfgFingerprint>{}(k.fingerprint), k.latency_sig);
   h = hash_combine(h, constraints_signature(k.constraints));
   h = hash_combine(h, static_cast<std::uint64_t>(k.num_cuts));
   return static_cast<std::size_t>(h);
@@ -240,7 +239,6 @@ Json ResultCache::to_json() const {
     const MemoKey& key = *it;
     const MemoEntry& entry = memo_.at(key);
     Json e = Json::object();
-    e.set("structural", hex64(key.fingerprint.structural));
     e.set("exact", hex64(key.fingerprint.exact));
     e.set("latency", hex64(key.latency_sig));
     e.set("constraints", isex::to_json(key.constraints));
@@ -266,7 +264,6 @@ void ResultCache::merge_json(const Json& json) {
   std::vector<std::pair<MemoKey, MemoEntry>> parsed;
   for (const Json& e : json.at("entries").as_array()) {
     MemoKey key;
-    key.fingerprint.structural = parse_hex64(e.at("structural").as_string());
     key.fingerprint.exact = parse_hex64(e.at("exact").as_string());
     key.latency_sig = parse_hex64(e.at("latency").as_string());
     key.constraints = constraints_from_json(e.at("constraints"));

@@ -17,12 +17,6 @@ namespace isex {
 
 namespace {
 
-struct FingerprintHash {
-  std::size_t operator()(const DfgFingerprint& fp) const {
-    return static_cast<std::size_t>(hash_combine(fp.structural, fp.exact));
-  }
-};
-
 /// The run context of each bundle: the caller's, with a per-bundle counter
 /// sink carrying the bundle name as the cache attribution scope, merged
 /// into the caller's sink on destruction. With no caller sink there is
@@ -62,14 +56,14 @@ struct DedupKey {
 };
 struct DedupKeyHash {
   std::size_t operator()(const DedupKey& k) const {
-    return static_cast<std::size_t>(hash_combine(hash_combine(k.fp.structural, k.fp.exact),
-                                                 std::hash<std::string>{}(k.cut)));
+    return static_cast<std::size_t>(
+        hash_combine(std::hash<DfgFingerprint>{}(k.fp), std::hash<std::string>{}(k.cut)));
   }
 };
 
 int count_shared_kernels(std::span<const DfgFingerprint> fps, std::span<const int> bundle_of) {
   // fp -> (first bundle seen, already counted as shared).
-  std::unordered_map<DfgFingerprint, std::pair<int, bool>, FingerprintHash> seen;
+  std::unordered_map<DfgFingerprint, std::pair<int, bool>> seen;
   int shared = 0;
   for (std::size_t i = 0; i < fps.size(); ++i) {
     auto [it, inserted] = seen.emplace(fps[i], std::make_pair(bundle_of[i], false));
@@ -134,7 +128,7 @@ PortfolioSelectionResult select_portfolio_iterative(
       BlockState& s = state[i];
       if (s.cached) continue;
       if (s.fp_dirty) {
-        s.fp = dfg_fingerprint(s.current.graph());  // linear, dwarfed by the search
+        s.fp = dfg_fingerprint(s.current.graph());  // one linear hash
         s.fp_dirty = false;
       }
       pending.push_back(i);
@@ -144,7 +138,7 @@ PortfolioSelectionResult select_portfolio_iterative(
     // a single representative per fingerprint and copy its result — what a
     // hit would have returned — to the other instances.
     std::vector<std::size_t> work;
-    std::unordered_map<DfgFingerprint, std::size_t, FingerprintHash> representative;
+    std::unordered_map<DfgFingerprint, std::size_t> representative;
     if (search.cache != nullptr) {
       work = pending;
     } else {
@@ -170,7 +164,7 @@ PortfolioSelectionResult select_portfolio_iterative(
       double score = 0.0;
       std::vector<std::size_t> members;
     };
-    std::unordered_map<DfgFingerprint, Group, FingerprintHash> groups;
+    std::unordered_map<DfgFingerprint, Group> groups;
     std::vector<std::size_t> group_order;  // first member of each group, in order
     for (std::size_t i = 0; i < state.size(); ++i) {
       auto [it, inserted] = groups.emplace(state[i].fp, Group{});

@@ -4,7 +4,9 @@
 // identification steps".
 #pragma once
 
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "dfg/dfg.hpp"
 
@@ -22,22 +24,23 @@ struct CollapseResult {
 CollapseResult collapse(const Dfg& g, const BitVector& members, const std::string& label);
 
 /// One block under Iterative selection: its graph with the accepted cuts
-/// collapsed, and the original node ids behind each current node.
+/// collapsed, and where each original node went. Until the first collapse it
+/// reads the original block in place, so `original` must outlive it.
 class CollapsedBlock {
  public:
-  explicit CollapsedBlock(const Dfg& original);
+  explicit CollapsedBlock(const Dfg& original) : original_(&original) {}
 
   /// The block with every accepted cut fused into one forbidden node.
-  const Dfg& graph() const { return current_; }
+  const Dfg& graph() const { return collapsed_ ? *collapsed_ : *original_; }
   /// `cut` over graph() as a cut over the original block's node ids.
   BitVector to_original(const BitVector& cut) const;
   /// Fuses `cut` (over graph()) into one node named `label`.
   void collapse(const BitVector& cut, const std::string& label);
 
  private:
-  std::size_t original_nodes_;
-  Dfg current_;
-  std::vector<std::vector<std::size_t>> origin_;  // current node -> original ids
+  const Dfg* original_;
+  std::optional<Dfg> collapsed_;     // empty until the first collapse
+  std::vector<NodeId> current_of_;   // original node -> its node in *collapsed_
 };
 
 }  // namespace isex

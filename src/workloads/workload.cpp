@@ -1,6 +1,8 @@
 #include "workloads/workload.hpp"
 
 #include <cstdio>
+#include <iterator>
+#include <mutex>
 
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
@@ -165,6 +167,20 @@ Workload find_workload(const std::string& name) {
     known += entry.name;
   }
   throw Error("unknown workload '" + name + "' (registered: " + known + ")");
+}
+
+const std::string* registry_cache_key(const std::string& name) {
+  struct Key {
+    std::once_flag built;
+    std::string key;
+  };
+  static Key keys[std::size(kWorkloadRegistry)];
+  for (std::size_t i = 0; i < std::size(kWorkloadRegistry); ++i) {
+    if (name != kWorkloadRegistry[i].name) continue;
+    std::call_once(keys[i].built, [i] { keys[i].key = kWorkloadRegistry[i].make().cache_key(); });
+    return &keys[i].key;
+  }
+  return nullptr;
 }
 
 }  // namespace isex

@@ -63,6 +63,18 @@ TEST(FingerprintPins, RegistryWorkloadsKeepTheirCacheKeys) {
   for (const KeyPin& pin : kRegistryKeys) expect_pinned(find_workload(pin.workload), pin);
 }
 
+TEST(FingerprintPins, RegistryKeyTableMatchesBuiltKernels) {
+  for (const std::string& name : workload_names()) {
+    const std::string* key = registry_cache_key(name);
+    ASSERT_NE(key, nullptr) << name;
+    EXPECT_EQ(*key, find_workload(name).cache_key());
+    EXPECT_EQ(registry_cache_key(name), key) << "one table entry per name";
+  }
+  for (const KeyPin& pin : kRegistryKeys) EXPECT_EQ(*registry_cache_key(pin.workload), pin.cache_key);
+  EXPECT_EQ(registry_cache_key("no-such-kernel"), nullptr);
+  EXPECT_EQ(registry_cache_key("../tests/corpus/crc32.isex"), nullptr);
+}
+
 TEST(FingerprintPins, ParsedTwinsKeepTheRegistryCacheKeys) {
   for (const KeyPin& pin : kRegistryKeys) {
     expect_pinned(load_workload_string(dump_workload(find_workload(pin.workload))), pin);
