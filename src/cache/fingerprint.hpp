@@ -6,9 +6,8 @@
 // representation. Identification results are bit vectors *over node ids*,
 // so only a graph with the same ids may share one: a permuted isomorph must
 // miss rather than receive a cut whose bits point at the wrong nodes. An
-// isomorphism-invariant (Weisfeiler-Leman) hash therefore never decided a
-// hit; it only added key bits, at over ten times the exact hash's cost, and
-// was removed.
+// isomorphism-invariant (e.g. Weisfeiler-Leman) hash could therefore never
+// decide a hit, and the key carries none.
 //
 // Cosmetic state (node labels, the graph name) is excluded; everything that
 // influences an identification result — topology, opcodes, constant values,

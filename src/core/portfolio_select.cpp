@@ -111,8 +111,8 @@ PortfolioSelectionResult select_portfolio_iterative(
   for (std::size_t bi = 0; bi < bundles.size(); ++bi) {
     for (std::size_t k = 0; k < bundles[bi].blocks.size(); ++k) {
       const Dfg& g = bundles[bi].blocks[k];
-      state.push_back(
-          {static_cast<int>(bi), static_cast<int>(k), CollapsedBlock(g), dfg_fingerprint(g)});
+      state.push_back({static_cast<int>(bi), static_cast<int>(k), CollapsedBlock(g),
+                       dfg_fingerprint(g), false, std::nullopt});
       initial_fps.push_back(state.back().fp);
       bundle_of.push_back(state.back().bundle);
     }
