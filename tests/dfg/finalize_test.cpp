@@ -95,7 +95,7 @@ TEST(DfgFinalize, SearchOrderIsTheSmallestIdFirstKahnOrder) {
 TEST(DfgFinalize, WideGraphFinalizesWithinItsBound) {
   // 6,000 nodes, 2,000 of them ready at the start. A heap finalizes this in
   // ~5 ms of one core (Release, 4-vCPU VM); re-sorting the ready list on
-  // every pop took 46-53 ms.
+  // every pop took 42-53 ms.
   Dfg g = wide_graph(2000);
   const double ms = best_of_three_ms([&] { g.finalize(); });
   EXPECT_LE(ms, 25.0) << "finalize of a 6,000-node wide graph";
