@@ -122,7 +122,7 @@ std::vector<std::string> workload_names();
 /// registered names) when unknown.
 Workload find_workload(const std::string& name);
 /// find_workload(name).cache_key() for a registry kernel, built and
-/// verified once per process (the builders are deterministic), so a warm
+/// verified once per process (the make_* kernels are deterministic), so a warm
 /// request can find its graphs without building the kernel. Null when
 /// `name` is not a registry name (a file path, or unknown).
 const std::string* registry_cache_key(const std::string& name);
