@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "service/protocol.hpp"
+#include "text/workload_file.hpp"
+#include "workloads/workload.hpp"
 
 namespace isex {
 namespace {
@@ -357,6 +359,86 @@ TEST(ServiceProtocol, StableReportJsonDropsOnlyTimings) {
   EXPECT_EQ(dumped.find("timings"), std::string::npos);
   EXPECT_NE(dumped.find("estimated_speedup"), std::string::npos);
   EXPECT_NE(dumped.find("speedup"), std::string::npos);
+}
+
+// Literal dedup keys, recorded while an ir_text frame still fingerprinted
+// its whole escaped document: how a document contributes may change, but a
+// frame without one must keep its key.
+TEST(RequestFingerprintPins, RegistryAndPortfolioFramesKeepTheirKeys) {
+  const struct {
+    const char* frame;
+    const char* fingerprint;
+  } pins[] = {
+      {R"({"isex": 1, "id": "a", "type": "explore",
+           "request": {"workload": "fir", "scheme": "iterative",
+                       "constraints": {"max_inputs": 4, "max_outputs": 2}}})",
+       "c4150a5d350c5508"},
+      {R"({"isex": 3, "id": "b", "type": "explore", "search_budget": 50000,
+           "deadline_ms": 250,
+           "request": {"workload": "adpcmdecode", "scheme": "optimal",
+                       "constraints": {"max_inputs": 3, "max_outputs": 1,
+                                       "search_budget": 123},
+                       "num_instructions": 5, "num_threads": 2,
+                       "subtree_split_depth": 3, "use_cache": false,
+                       "name_prefix": "svc",
+                       "dfg_options": {"allow_rom_loads": true},
+                       "area": {"max_area_macs": 1.5, "num_instructions": 4}}})",
+       "ea7bfcdbe647a941"},
+      {R"({"isex": 2, "id": "c", "type": "explore-portfolio",
+           "request": {"workloads": [{"workload": "crc32", "weight": 2},
+                                     {"workload": "sha1"}],
+                       "scheme": "iterative", "max_area_macs": 3.5,
+                       "constraints": {"max_inputs": 4, "max_outputs": 2}}})",
+       "9c70699d10686509"},
+  };
+  for (const auto& pin : pins) {
+    EXPECT_EQ(fingerprint_hex(request_fingerprint(parse_request_frame(pin.frame))),
+              pin.fingerprint)
+        << pin.frame;
+  }
+}
+
+TEST(RequestFingerprintPins, IrTextFramesKeyOnTheirDocument) {
+  const std::string text = dump_workload(find_workload("crc32"));
+  RequestFrame frame;
+  frame.version = 2;
+  frame.id = "t1";
+  frame.type = "explore";
+  frame.single.emplace();
+  frame.single->ir_text = text;
+  const std::uint64_t fp = request_fingerprint(frame);
+
+  // Equal documents key equal, however the frame spells them.
+  RequestFrame respelled = parse_request_frame(dump_request_frame(frame));
+  respelled.id = "t2";
+  EXPECT_EQ(request_fingerprint(respelled), fp);
+
+  // Documents one byte apart key apart, in place or appended.
+  for (const std::size_t pos : {std::size_t{0}, text.size() / 2, text.size() - 1}) {
+    RequestFrame edited = frame;
+    edited.single->ir_text[pos] = edited.single->ir_text[pos] == 'x' ? 'y' : 'x';
+    EXPECT_NE(request_fingerprint(edited), fp) << "byte " << pos;
+  }
+  RequestFrame longer = frame;
+  longer.single->ir_text += ' ';
+  EXPECT_NE(request_fingerprint(longer), fp);
+
+  // A document is different work from its registry twin.
+  RequestFrame twin = frame;
+  twin.single->ir_text.clear();
+  twin.single->workload = "crc32";
+  EXPECT_NE(request_fingerprint(twin), fp);
+
+  // No wire member stands in for the document.
+  expect_request_error(
+      R"({"isex": 2, "type": "explore",
+          "request": {"ir_text_digest": "00000000000000ff/12"}})",
+      kErrBadRequest);
+  std::string spoofed = dump_request_frame(frame);
+  const std::size_t body = spoofed.find(R"("request":{)");
+  ASSERT_NE(body, std::string::npos) << spoofed;
+  spoofed.insert(body + 11, R"("ir_text_digest":"00000000000000ff/12",)");
+  expect_request_error(spoofed, kErrBadRequest);
 }
 
 }  // namespace
