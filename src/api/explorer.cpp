@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string_view>
 
 #include "afu/afu_builder.hpp"
 #include "emit/plan.hpp"
@@ -23,18 +24,23 @@ double ms_since(Clock::time_point start) {
 }
 
 /// One application of a run: a workload (caller-owned, or an ir_text or file
-/// instance owned by the entry point), a registry kernel, or pre-extracted
-/// graphs, with the name its report and cache attribution carry.
+/// instance owned by the entry point), a workload known by its key, or
+/// pre-extracted graphs, with the name its report and cache attribution
+/// carry.
 struct Application {
-  Workload* workload = nullptr;  // null for registry kernels and graphs
-  /// A registry kernel's extraction-cache key (registry_cache_key(name)).
-  /// The run builds the kernel only if it misses the extraction cache or
-  /// reads the module: AFUs, module-reading emitters, the rewrite.
-  const std::string* registry_key = nullptr;
-  std::span<const Dfg> graphs;
-  std::string name;
+  Workload* workload = nullptr;  // null for graphs and workloads known by key
+  /// The extraction-cache key (Workload::cache_key()) of `workload`, or of
+  /// a workload known by its key alone: a registry kernel
+  /// (registry_cache_key(name)) or an ir_text document the load memo knows.
+  /// The run builds such a workload — by name, or from `text` — only if it
+  /// misses the extraction cache or reads the module: AFUs, module-reading
+  /// emitters, the rewrite. Empty for graphs.
+  std::string key = {};
+  std::string_view text = {};  // the ir_text document of a workload known by key
+  std::span<const Dfg> graphs = {};
+  std::string name = {};
   double weight = 1.0;
-  DfgOptions dfg_options;
+  DfgOptions dfg_options = {};
 };
 
 /// Which report a run is projected into. The two differ in what they show
@@ -148,9 +154,7 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
   // Reject contradictory or no-op emission requests before any work runs
   // (e.g. a Verilog target on a graph-only application).
   const EmissionOptions& emission = run.emission;
-  const auto has_module = [](const Application& app) {
-    return app.workload != nullptr || app.registry_key != nullptr;
-  };
+  const auto has_module = [](const Application& app) { return !app.key.empty(); };
   bool have_modules = true;
   for (const Application& app : apps) have_modules = have_modules && has_module(app);
   if (emission.active()) {
@@ -191,13 +195,17 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
     cancel = &deadline_token;
   }
 
-  // Registry kernels are built on first use and live for the whole run:
-  // emission reads their modules after selection (and a verifying rewrite
-  // mutates them).
+  // Workloads known by key are built on first use, from their text or by
+  // name, and live for the whole run: emission reads their modules after
+  // selection (and a verifying rewrite mutates them).
   std::vector<std::optional<Workload>> built(apps.size());
   const auto workload_of = [&](std::size_t i) -> Workload& {
-    if (apps[i].workload != nullptr) return *apps[i].workload;
-    if (!built[i]) built[i].emplace(find_workload(apps[i].name));
+    const Application& app = apps[i];
+    if (app.workload != nullptr) return *app.workload;
+    if (!built[i]) {
+      built[i].emplace(app.text.empty() ? find_workload(app.name)
+                                        : load_workload_string(app.text));
+    }
     return *built[i];
   };
 
@@ -217,10 +225,8 @@ PipelineRun run_applications(const Explorer& explorer, std::span<const Applicati
       // longer describe the pristine kernel of that name).
       const bool use_dfg_cache = run.use_cache && !emission.verify_rewrites &&
                                  (app.workload == nullptr || !app.workload->mutated());
-      const std::string key =
-          app.workload != nullptr ? app.workload->cache_key() : *app.registry_key;
       extracted[i] = extract_workload(
-          explorer.cache(), key, [&]() -> Workload& { return workload_of(i); },
+          explorer.cache(), app.key, [&]() -> Workload& { return workload_of(i); },
           app.dfg_options, use_dfg_cache, need_module, &local);
       bundle.blocks = *extracted[i].graphs;
       bundle.base_cycles = extracted[i].base_cycles;
@@ -491,17 +497,37 @@ ExplorationReport Explorer::run(const ExplorationRequest& request,
   if (!request.ir_text.empty()) {
     ISEX_CHECK(request.workload.empty(),
                "ExplorationRequest sets both a workload name and ir_text");
+    // load_ms is the time to resolve the document to its workload: the load,
+    // or the digest and a load-memo lookup for a document loaded before,
+    // which then runs by its key (a load the run still needs counts in
+    // extract_ms or emit_ms, as a registry kernel's build does).
     const Clock::time_point t_load = Clock::now();
-    Workload w = load_workload_string(request.ir_text);
+    Application app{.text = request.ir_text, .dfg_options = request.dfg_options};
+    std::optional<TextDigest> digest;
+    std::optional<LoadedText> known;
+    if (request.use_cache) {
+      digest = text_digest(request.ir_text);
+      known = cache_->lookup_text(*digest);
+    }
+    std::optional<Workload> loaded;
+    if (!known) {
+      loaded.emplace(load_workload_string(request.ir_text));
+      known.emplace(loaded->cache_key(), loaded->name());
+      if (digest) cache_->store_text(*digest, *known);
+      app.workload = &*loaded;
+    }
+    app.key = std::move(known->cache_key);
+    app.name = std::move(known->name);
     const double load_ms = ms_since(t_load);
-    ExplorationReport report = run(w, request, hooks);
+    ExplorationReport report = explore_one(*this, app, request, hooks);
     report.timings.load_ms = load_ms;
     return report;
   }
   if (!request.workload.empty()) {
     if (const std::string* key = registry_cache_key(request.workload)) {
       return explore_one(*this,
-                         {nullptr, key, {}, request.workload, 1.0, request.dfg_options},
+                         {.key = *key, .name = request.workload,
+                          .dfg_options = request.dfg_options},
                          request, hooks);
     }
     Workload w = find_workload(request.workload);  // a file path, or unknown
@@ -514,7 +540,9 @@ ExplorationReport Explorer::run(const ExplorationRequest& request,
 
 ExplorationReport Explorer::run(Workload& workload, const ExplorationRequest& request,
                                 const RunHooks& hooks) const {
-  return explore_one(*this, {&workload, nullptr, {}, workload.name(), 1.0, request.dfg_options},
+  return explore_one(*this,
+                     {.workload = &workload, .key = workload.cache_key(),
+                      .name = workload.name(), .dfg_options = request.dfg_options},
                      request, hooks);
 }
 
@@ -522,7 +550,7 @@ ExplorationReport Explorer::run_blocks(std::span<const Dfg> blocks,
                                        const ExplorationRequest& request,
                                        const RunHooks& hooks) const {
   ISEX_CHECK(!blocks.empty(), "no graphs to explore");
-  return explore_one(*this, {nullptr, nullptr, blocks, "", 1.0, request.dfg_options}, request,
+  return explore_one(*this, {.graphs = blocks, .dfg_options = request.dfg_options}, request,
                      hooks);
 }
 
@@ -538,12 +566,14 @@ PortfolioReport Explorer::run_portfolio(const MultiExplorationRequest& request,
     const PortfolioWorkloadRequest& wr = request.workloads[i];
     ISEX_CHECK(wr.weight > 0, "portfolio workload " + std::to_string(i) +
                                   " needs a positive weight");
-    Application app{nullptr, nullptr, {}, wr.workload, wr.weight, wr.dfg_options};
+    Application app{.name = wr.workload, .weight = wr.weight, .dfg_options = wr.dfg_options};
     if (!wr.workload.empty()) {
-      app.registry_key = registry_cache_key(wr.workload);
-      if (app.registry_key == nullptr) {  // a file path, or unknown
+      if (const std::string* key = registry_cache_key(wr.workload)) {
+        app.key = *key;
+      } else {  // a file path, or unknown
         instances.push_back(std::make_unique<Workload>(find_workload(wr.workload)));
         app.workload = instances.back().get();
+        app.key = app.workload->cache_key();
       }
     } else {
       ISEX_CHECK(!wr.graphs.empty(), "portfolio workload " + std::to_string(i) +

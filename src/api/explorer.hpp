@@ -52,6 +52,9 @@ struct ExplorationRequest : RunOptions {
   /// graph the server has never seen. Mutually exclusive with `workload`;
   /// takes precedence over `graphs`. The parsed twin of a registry kernel
   /// shares the extraction cache with it (keys are content-fingerprinted).
+  /// With use_cache, a document the cache has loaded before is not loaded
+  /// again unless the run reads its module or misses the extraction cache
+  /// (ResultCache's load memo).
   std::string ir_text;
 
   /// Selection scheme name resolved against the registry ("iterative",

@@ -49,9 +49,13 @@ struct ValidationReport {
 };
 
 struct ReportTimings {
-  /// Wall time of the ir_text load (parse, verify, interpreter probe,
-  /// fingerprint), which runs before the clock the other fields read
-  /// starts; absent when the request named a registry kernel or graphs.
+  /// Wall time of resolving an ir_text document to its workload, before
+  /// the clock the other fields read starts: the load (parse, verify,
+  /// interpreter probe, fingerprint), or only the digest and lookup when the
+  /// load memo knows the document. A run that then loads the document
+  /// anyway counts that load in extract_ms or emit_ms, as it counts a
+  /// registry kernel's build. Absent when the request named a registry
+  /// kernel or graphs.
   std::optional<double> load_ms;
   double extract_ms = 0.0;   // preprocess + profile + DFG extraction
   double identify_ms = 0.0;  // identification + selection

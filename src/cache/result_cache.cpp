@@ -47,6 +47,12 @@ std::string dfg_key(const std::string& workload, const DfgOptions& options) {
 
 }  // namespace
 
+TextDigest text_digest(std::string_view text) { return {hash_bytes(text), text.size()}; }
+
+std::size_t ResultCache::TextDigestHash::operator()(const TextDigest& d) const {
+  return static_cast<std::size_t>(hash_combine(d.hash, d.size));
+}
+
 std::size_t ResultCache::MemoKeyHash::operator()(const MemoKey& k) const {
   std::uint64_t h = hash_combine(std::hash<DfgFingerprint>{}(k.fingerprint), k.latency_sig);
   h = hash_combine(h, constraints_signature(k.constraints));
@@ -204,6 +210,25 @@ void ResultCache::invalidate_workload(const std::string& workload) {
   }
 }
 
+std::optional<LoadedText> ResultCache::lookup_text(const TextDigest& digest) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = texts_.find(digest);
+  if (it == texts_.end()) return std::nullopt;
+  text_lru_.splice(text_lru_.begin(), text_lru_, it->second.lru);
+  return it->second.loaded;
+}
+
+void ResultCache::store_text(const TextDigest& digest, LoadedText loaded) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (texts_.find(digest) != texts_.end()) return;  // a racing load stored it first
+  text_lru_.push_front(digest);
+  texts_.emplace(digest, TextEntry{std::move(loaded), text_lru_.begin()});
+  while (texts_.size() > config_.max_dfg_entries) {
+    texts_.erase(text_lru_.back());
+    text_lru_.pop_back();
+  }
+}
+
 CacheCounters ResultCache::counters() const {
   std::lock_guard<std::mutex> lock(mu_);
   return counters_;
@@ -219,12 +244,19 @@ std::size_t ResultCache::num_dfg_entries() const {
   return dfgs_.size();
 }
 
+std::size_t ResultCache::num_text_entries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return texts_.size();
+}
+
 void ResultCache::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   memo_.clear();
   memo_lru_.clear();
   dfgs_.clear();
   dfg_lru_.clear();
+  texts_.clear();
+  text_lru_.clear();
 }
 
 Json ResultCache::to_json() const {

@@ -20,12 +20,17 @@
 // extracted from; the cached pristine extraction stays valid for future
 // by-name requests).
 //
-// Both tables are bounded LRU and thread-safe (misses compute outside the
-// lock, so parallel per-block identification keeps scaling; a racing
+// The load memo remembers, for each ir_text document loaded through it, the
+// workload's extraction-cache key and name, keyed on the document's digest,
+// so a repeated document runs by key like a registry kernel and is loaded
+// again only when the run reads its module or misses the extraction cache.
+//
+// All three tables are bounded LRU and thread-safe (misses compute outside
+// the lock, so parallel per-block identification keeps scaling; a racing
 // duplicate computation of the same pure key is benign). The memo table —
 // not the extraction cache, whose graphs are cheap to rebuild relative to
-// their serialized size — can be persisted to JSON so repeated bench or
-// sweep runs start warm.
+// their serialized size, nor the load memo — can be persisted to JSON so
+// repeated bench or sweep runs start warm.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +39,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -51,6 +57,25 @@ struct ResultCacheConfig {
   std::size_t max_entries = 1 << 16;
   /// Extraction-cache capacity in workloads. Must be >= 1.
   std::size_t max_dfg_entries = 32;
+};
+
+/// An ir_text document's identity in the load memo: hash_bytes of its bytes
+/// and their count. The hash is 64-bit and non-cryptographic, as strong as
+/// the content fingerprint in the extraction key; the memo never compares
+/// the bytes themselves.
+struct TextDigest {
+  std::uint64_t hash = 0;
+  std::size_t size = 0;
+
+  friend bool operator==(const TextDigest&, const TextDigest&) = default;
+};
+TextDigest text_digest(std::string_view text);
+
+/// What a document loaded to: its workload's extraction-cache key
+/// (Workload::cache_key()) and name.
+struct LoadedText {
+  std::string cache_key;
+  std::string name;
 };
 
 class ResultCache {
@@ -105,10 +130,21 @@ class ResultCache {
   /// without the rewrite pipeline) use it to purge the stale entries.
   void invalidate_workload(const std::string& workload);
 
+  // --- load memo -----------------------------------------------------------
+  // Holds at most max_dfg_entries documents, since a mapping only helps
+  // while its graphs are cached. Neither counted nor persisted.
+
+  /// What the document with `digest` loaded to (bumping its recency), or
+  /// nullopt when no document with that digest was stored.
+  std::optional<LoadedText> lookup_text(const TextDigest& digest);
+  /// Remembers what a document loaded to; store only documents that loaded.
+  void store_text(const TextDigest& digest, LoadedText loaded);
+
   // --- introspection -------------------------------------------------------
   CacheCounters counters() const;
   std::size_t num_entries() const;
   std::size_t num_dfg_entries() const;
+  std::size_t num_text_entries() const;
   /// Drops all entries; counters are kept (they are lifetime totals).
   void clear();
 
@@ -152,6 +188,13 @@ class ResultCache {
     double base_cycles = 0.0;
     std::list<std::string>::iterator lru;
   };
+  struct TextDigestHash {
+    std::size_t operator()(const TextDigest& d) const;
+  };
+  struct TextEntry {
+    LoadedText loaded;
+    std::list<TextDigest>::iterator lru;
+  };
 
   /// Returns the entry for `key` (empty on miss) and bumps its recency;
   /// counts the hit/miss. Caller holds no lock.
@@ -168,6 +211,9 @@ class ResultCache {
 
   std::unordered_map<std::string, DfgEntry> dfgs_;  // key: name + options sig
   std::list<std::string> dfg_lru_;
+
+  std::unordered_map<TextDigest, TextEntry, TextDigestHash> texts_;
+  std::list<TextDigest> text_lru_;
 
   CacheCounters counters_;
 };
