@@ -231,14 +231,25 @@ Json parse_frame_object(const std::string& line, const char* what) {
   return j;
 }
 
-}  // namespace
+/// How request_json writes an ir_text document: whole (the wire), or as its
+/// digest (the dedup fingerprint, which then neither copies nor escapes it).
+enum class TextMember { document, digest };
 
-Json to_json(const ExplorationRequest& request) {
+Json request_json(const ExplorationRequest& request, TextMember text) {
   Json j = Json::object();
   j.set("workload", request.workload);
   // Emitted only when set: absent-field canonicalization keeps the dedup
   // fingerprints of plain registry requests identical to protocol v1.
-  if (!request.ir_text.empty()) j.set("ir_text", request.ir_text);
+  if (!request.ir_text.empty()) {
+    if (text == TextMember::document) {
+      j.set("ir_text", request.ir_text);
+    } else {
+      // No frame can carry this member (unknown fields are bad-requests),
+      // so a client cannot spell a digest into another request's key.
+      const TextDigest digest = text_digest(request.ir_text);
+      j.set("ir_text_digest", fingerprint_hex(digest.hash) + "/" + std::to_string(digest.size));
+    }
+  }
   j.set("scheme", request.scheme);
   j.set("constraints", to_json(request.constraints));
   j.set("num_instructions", request.num_instructions);
@@ -249,6 +260,12 @@ Json to_json(const ExplorationRequest& request) {
   j.set("use_cache", request.use_cache);
   j.set("name_prefix", request.name_prefix);
   return j;
+}
+
+}  // namespace
+
+Json to_json(const ExplorationRequest& request) {
+  return request_json(request, TextMember::document);
 }
 
 ExplorationRequest exploration_request_from_json(const Json& j) {
@@ -452,7 +469,8 @@ std::uint64_t request_fingerprint(const RequestFrame& frame) {
   // Distinct deadlines must stay distinct computations: a 50ms request may
   // legitimately produce a partial report where a 5s one completes.
   if (frame.deadline_ms != 0) j.set("deadline_ms", frame.deadline_ms);
-  if (frame.single.has_value()) j.set("request", to_json(*frame.single));
+  // An ir_text document contributes its digest, not its bytes.
+  if (frame.single.has_value()) j.set("request", request_json(*frame.single, TextMember::digest));
   if (frame.portfolio.has_value()) j.set("request", to_json(*frame.portfolio));
   return hash_bytes(j.dump(-1));
 }

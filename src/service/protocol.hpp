@@ -177,9 +177,12 @@ EventFrame parse_event_frame(const std::string& line);
 // --- dedup fingerprint ------------------------------------------------------
 
 /// Deterministic fingerprint of the *work* a frame asks for — type, the
-/// canonicalized request body and the search budget; the correlation id is
-/// excluded. Two frames with equal fingerprints are the same computation, so
-/// the admission layer runs one and attaches the other to its result.
+/// canonicalized request body, the search budget and deadline; the
+/// correlation id is excluded. Two frames with equal fingerprints are the
+/// same computation, so the admission layer runs one and attaches the other
+/// to its result. An ir_text document contributes its digest (hash_bytes of
+/// its bytes, and their count), never a copy of the document, under a member
+/// no frame can carry; frames without a document hash as they always have.
 std::uint64_t request_fingerprint(const RequestFrame& frame);
 
 /// 16-hex-digit rendering used on the wire ("accepted" events).
