@@ -12,7 +12,7 @@ namespace {
 /// Nodes reachable from any member of `cut`.
 BitVector reach_of(const Dfg& g, const BitVector& cut) {
   BitVector out(g.num_nodes());
-  cut.for_each([&](std::size_t v) { out |= g.descendants(NodeId(v)); });
+  cut.for_each([&](std::size_t v) { out.or_words(g.desc_row(NodeId(v))); });
   return out;
 }
 

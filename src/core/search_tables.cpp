@@ -1,7 +1,5 @@
 #include "core/search_tables.hpp"
 
-#include <cstring>
-
 #include "dfg/cut.hpp"
 
 namespace isex {
@@ -11,11 +9,13 @@ SearchTables SearchTables::build(const Dfg& g, const LatencyModel& latency) {
   SearchTables t;
   const std::size_t n = g.num_nodes();
   t.num_nodes = n;
-  t.words = (n + 63) / 64;
+  t.words = g.row_words();
   t.exec_freq = g.exec_freq();
+  if (n != 0) {
+    t.desc_rows = g.desc_row(NodeId{0u});
+    t.data_succ_rows = g.data_succ_row(NodeId{0u});
+  }
 
-  t.desc_rows.assign(n * t.words, 0);
-  t.data_succ_rows.assign(n * t.words, 0);
   t.sw.assign(n, 0);
   t.hw.assign(n, 0.0);
   t.succ_off.assign(n + 1, 0);
@@ -24,10 +24,6 @@ SearchTables SearchTables::build(const Dfg& g, const LatencyModel& latency) {
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId id{static_cast<std::uint32_t>(i)};
     const DfgNode& node = g.node(id);
-    std::memcpy(t.desc_rows.data() + i * t.words, g.descendants(id).words(),
-                t.words * sizeof(std::uint64_t));
-    std::memcpy(t.data_succ_rows.data() + i * t.words, g.data_succ_mask(id).words(),
-                t.words * sizeof(std::uint64_t));
     if (node.kind == NodeKind::op) {
       t.sw[i] = node_sw_cycles(g, id, latency);
       t.hw[i] = node_hw_delay(g, id, latency);
@@ -43,15 +39,15 @@ SearchTables SearchTables::build(const Dfg& g, const LatencyModel& latency) {
   }
 
   for (std::size_t i = 0; i < n; ++i) {
-    const NodeId id{static_cast<std::uint32_t>(i)};
-    t.in_off[i + 1] = t.in_off[i];
-    g.data_pred_mask(id).for_each([&](std::size_t p) {
-      const DfgNode& pn = g.node(NodeId{static_cast<std::uint32_t>(p)});
-      if (pn.kind == NodeKind::constant) return;  // hardwired, never an input
-      t.in_node.push_back(static_cast<std::uint32_t>(p));
+    const DfgNode& node = g.node(NodeId{static_cast<std::uint32_t>(i)});
+    for (std::size_t j = 0; j < node.preds.size(); ++j) {
+      const DfgNode& pn = g.node(node.preds[j]);
+      // Order-only edges carry no value; constants are hardwired.
+      if (!node.pred_is_data[j] || pn.kind == NodeKind::constant) continue;
+      t.in_node.push_back(node.preds[j].index);
       t.in_perm.push_back(pn.kind == NodeKind::input || pn.forbidden ? 1 : 0);
-      ++t.in_off[i + 1];
-    });
+    }
+    t.in_off[i + 1] = static_cast<std::uint32_t>(t.in_node.size());
   }
 
   for (const NodeId id : g.search_order()) {

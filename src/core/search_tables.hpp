@@ -8,8 +8,8 @@
 // latencies. SearchTables flattens everything those questions touch into
 // index-addressed arrays built once per search:
 //
-//  * raw 64-bit row pointers into the transitive-closure and adjacency
-//    masks the Dfg precomputes at finalize() (and therefore shares through
+//  * raw 64-bit row pointers into the transitive-closure and data-successor
+//    rows the Dfg precomputes at finalize() (and therefore shares through
 //    the extraction cache), so the checks become a handful of AND/ANDNOT
 //    word operations instead of per-edge scans through checked accessors;
 //  * the LatencyModel flattened into per-node sw_cycles[] / hw_delay[]
@@ -85,26 +85,27 @@ class BudgetGate {
 };
 
 /// Per-search flattening of one (graph, latency model) pair. The closure
-/// rows are copied out of the Dfg-owned bitsets into contiguous row-major
-/// storage (node n's row starts at n * words), so the engines walk them
-/// with nothing but base-plus-offset arithmetic.
+/// rows are the Dfg's own row-major arrays (node n's row starts at
+/// n * words), so the engines walk them with nothing but base-plus-offset
+/// arithmetic; the tables borrow them and must not outlive the graph.
 struct SearchTables {
   std::size_t num_nodes = 0;
   std::size_t words = 0;  // 64-bit words per node-set row
   double exec_freq = 1.0;
 
-  // Row-major closure / adjacency masks (row n: [n*words, (n+1)*words)).
-  std::vector<std::uint64_t> desc_rows;       // transitive descendants
-  std::vector<std::uint64_t> data_succ_rows;  // immediate data successors
+  // The graph's rows (row n: [n*words, (n+1)*words)); null when it has no node.
+  const std::uint64_t* desc_rows = nullptr;       // transitive descendants
+  const std::uint64_t* data_succ_rows = nullptr;  // immediate data successors
 
   // CSR immediate adjacency (data and ordering edges) in edge order: the
   // engines' convexity checks walk it against desc_rows.
   std::vector<std::uint32_t> succ_off, succ_node;
 
-  // CSR of the *countable* data predecessors per node: deduplicated edges
-  // with constants (hardwired into the AFU) dropped and the permanent-input
-  // classification pre-resolved (paper Sec. 5: V+ inputs and forbidden
-  // producers can never be internalised by growing the cut upstream).
+  // CSR of the *countable* data predecessors per node, in edge order:
+  // deduplicated edges with constants (hardwired into the AFU) dropped and
+  // the permanent-input classification pre-resolved (paper Sec. 5: V+
+  // inputs and forbidden producers can never be internalised by growing
+  // the cut upstream).
   std::vector<std::uint32_t> in_off, in_node;
   std::vector<std::uint8_t> in_perm;
 
@@ -132,7 +133,7 @@ template <int kWords>
 class RowView {
  public:
   explicit RowView(const SearchTables& t)
-      : desc_(t.desc_rows.data()), dsucc_(t.data_succ_rows.data()), dynamic_words_(t.words) {}
+      : desc_(t.desc_rows), dsucc_(t.data_succ_rows), dynamic_words_(t.words) {}
 
   std::size_t words() const { return kWords > 0 ? std::size_t{kWords} : dynamic_words_; }
 

@@ -18,15 +18,14 @@ int node_sw_cycles(const Dfg& g, NodeId n, const LatencyModel& latency) {
 
 bool is_convex(const Dfg& g, const BitVector& members) {
   // Nonconvex iff some node outside S is both reachable from S and reaches S.
-  BitVector from_s(g.num_nodes());
-  members.for_each([&](std::size_t i) { from_s |= g.descendants(NodeId{i}); });
+  BitVector outside(g.num_nodes());
+  members.for_each([&](std::size_t i) { outside.or_words(g.desc_row(NodeId{i})); });
+  outside -= members;
+  const std::uint64_t* s = members.words();
   bool convex = true;
-  from_s.for_each([&](std::size_t w) {
-    if (members.test(w)) return;
-    if (!convex) return;
-    BitVector hit = g.descendants(NodeId{w});
-    hit &= members;
-    if (hit.any()) convex = false;
+  outside.for_each([&](std::size_t v) {
+    const std::uint64_t* d = g.desc_row(NodeId{v});
+    for (std::size_t w = 0; convex && w < g.row_words(); ++w) convex = (d[w] & s[w]) == 0;
   });
   return convex;
 }

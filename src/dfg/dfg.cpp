@@ -102,7 +102,6 @@ void Dfg::finalize() {
   candidates_.clear();
   op_nodes_.clear();
   search_order_.clear();
-  desc_.assign(nodes_.size(), BitVector(nodes_.size()));
 
   // Kahn forward topological order over all nodes.
   std::vector<std::uint32_t> in_deg(nodes_.size(), 0);
@@ -126,31 +125,27 @@ void Dfg::finalize() {
   }
   ISEX_CHECK(forward.size() == nodes_.size(), "DFG contains a cycle");
 
-  // Descendant closure, processed from sinks backwards. The enumeration
-  // engines read it as raw word rows (a node can reach the current cut iff
-  // its descendant row intersects the cut bits), so it is computed here
-  // once per graph and shared through the extraction cache.
+  // Descendant closure, processed from sinks backwards, and the immediate
+  // data successors (order-only edges stay in the CSR lists the engines
+  // flatten per search — no engine consumes them as a row). A node can
+  // reach the current cut iff its descendant row intersects the cut bits,
+  // so the rows are computed here once per graph and shared through the
+  // extraction cache.
+  row_words_ = (nodes_.size() + 63) / 64;
+  desc_rows_.assign(nodes_.size() * row_words_, 0);
+  data_succ_rows_.assign(nodes_.size() * row_words_, 0);
   for (std::size_t k = forward.size(); k-- > 0;) {
-    const NodeId n = forward[k];
-    BitVector& d = desc_[n.index];
-    for (NodeId s : nodes_[n.index].succs) {
-      d.set(s.index);
-      d |= desc_[s.index];
-    }
-  }
-
-  // Immediate data-adjacency masks, the word-parallel view of the
-  // adjacency lists (order-only edges stay in the CSR lists the engines
-  // flatten per search — no engine consumes them as a mask).
-  data_succ_mask_.assign(nodes_.size(), BitVector(nodes_.size()));
-  data_pred_mask_.assign(nodes_.size(), BitVector(nodes_.size()));
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const DfgNode& node = nodes_[i];
+    const std::size_t n = forward[k].index;
+    const DfgNode& node = nodes_[n];
+    std::uint64_t* d = desc_rows_.data() + n * row_words_;
+    std::uint64_t* data_succ = data_succ_rows_.data() + n * row_words_;
     for (std::size_t j = 0; j < node.succs.size(); ++j) {
-      if (node.succ_is_data[j]) data_succ_mask_[i].set(node.succs[j].index);
-    }
-    for (std::size_t j = 0; j < node.preds.size(); ++j) {
-      if (node.pred_is_data[j]) data_pred_mask_[i].set(node.preds[j].index);
+      const std::uint32_t s = node.succs[j].index;
+      const std::uint64_t bit = std::uint64_t{1} << (s & 63);
+      d[s >> 6] |= bit;
+      if (node.succ_is_data[j]) data_succ[s >> 6] |= bit;
+      const std::uint64_t* ds = desc_rows_.data() + s * row_words_;
+      for (std::size_t w = 0; w < row_words_; ++w) d[w] |= ds[w];
     }
   }
 
@@ -171,26 +166,20 @@ void Dfg::finalize() {
 }
 
 bool Dfg::reaches(NodeId a, NodeId b) const {
-  check_finalized();
-  return desc_[a.index].test(b.index);
+  ISEX_ASSERT(b.valid() && b.index < nodes_.size(), "invalid node");
+  return desc_row(a)[b.index >> 6] >> (b.index & 63) & 1;
 }
 
-const BitVector& Dfg::descendants(NodeId n) const {
+const std::uint64_t* Dfg::desc_row(NodeId n) const {
   check_finalized();
-  ISEX_ASSERT(n.valid() && n.index < desc_.size(), "invalid node");
-  return desc_[n.index];
+  ISEX_ASSERT(n.valid() && n.index < nodes_.size(), "invalid node");
+  return desc_rows_.data() + n.index * row_words_;
 }
 
-const BitVector& Dfg::data_succ_mask(NodeId n) const {
+const std::uint64_t* Dfg::data_succ_row(NodeId n) const {
   check_finalized();
-  ISEX_ASSERT(n.valid() && n.index < data_succ_mask_.size(), "invalid node");
-  return data_succ_mask_[n.index];
-}
-
-const BitVector& Dfg::data_pred_mask(NodeId n) const {
-  check_finalized();
-  ISEX_ASSERT(n.valid() && n.index < data_pred_mask_.size(), "invalid node");
-  return data_pred_mask_[n.index];
+  ISEX_ASSERT(n.valid() && n.index < nodes_.size(), "invalid node");
+  return data_succ_rows_.data() + n.index * row_words_;
 }
 
 Dfg Dfg::from_block(const Module& module, const Function& fn, BlockId block, double exec_freq,

@@ -82,7 +82,7 @@ class Dfg {
   /// Appends a node carrying every field of `source` but none of its edges.
   NodeId copy_node(const DfgNode& source);
   void add_edge(NodeId from, NodeId to, bool order_only = false);
-  /// Computes orders, the descendant closure and the data-adjacency masks;
+  /// Computes orders, the descendant closure and the data-successor rows;
   /// must be called after manual construction.
   void finalize();
 
@@ -101,18 +101,19 @@ class Dfg {
 
   /// True if a path from `a` to `b` exists (following edge direction).
   bool reaches(NodeId a, NodeId b) const;
-  /// Descendant set of n (excluding n), as a bitvector over node ids.
-  const BitVector& descendants(NodeId n) const;
 
-  // Word-parallel data-adjacency masks (computed once at finalize(),
-  // shared — like the graph itself — through the extraction cache). The
-  // enumeration engines in src/core consume them as raw word rows: output
-  // and reach checks become AND/ANDNOT word operations instead of per-edge
+  // Node sets as rows of row_words() 64-bit words (bit i at word i/64, bit
+  // i%64; bits past num_nodes() are zero). finalize() stores each kind of
+  // row in one row-major array, node n's row at n * row_words(), shared —
+  // like the graph itself — through the extraction cache. The enumeration
+  // engines in src/core borrow the arrays whole: reach, output and
+  // convexity checks become AND/ANDNOT word operations instead of per-edge
   // scans over the adjacency lists.
+  std::size_t row_words() const { return row_words_; }
+  /// Descendants of n (excluding n).
+  const std::uint64_t* desc_row(NodeId n) const;
   /// Immediate successors of n over data edges only.
-  const BitVector& data_succ_mask(NodeId n) const;
-  /// Immediate predecessors of n over data edges only.
-  const BitVector& data_pred_mask(NodeId n) const;
+  const std::uint64_t* data_succ_row(NodeId n) const;
 
   double exec_freq() const { return exec_freq_; }
   void set_exec_freq(double f) { exec_freq_ = f; }
@@ -132,9 +133,9 @@ class Dfg {
   std::vector<NodeId> candidates_;
   std::vector<NodeId> op_nodes_;
   std::vector<NodeId> search_order_;
-  std::vector<BitVector> desc_;  // transitive descendants per node
-  std::vector<BitVector> data_succ_mask_;  // immediate data successors
-  std::vector<BitVector> data_pred_mask_;  // immediate data predecessors
+  std::size_t row_words_ = 0;
+  std::vector<std::uint64_t> desc_rows_;       // transitive descendants
+  std::vector<std::uint64_t> data_succ_rows_;  // immediate data successors
   double exec_freq_ = 1.0;
   std::string name_;
   BlockId source_block_;

@@ -36,6 +36,11 @@ BitVector& BitVector::operator|=(const BitVector& other) {
   return *this;
 }
 
+BitVector& BitVector::or_words(const std::uint64_t* row) {
+  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= row[i];
+  return *this;
+}
+
 BitVector& BitVector::operator&=(const BitVector& other) {
   check_same_domain(other);
   for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];

@@ -49,6 +49,9 @@ class BitVector {
   BitVector& operator|=(const BitVector& other);
   BitVector& operator&=(const BitVector& other);
   BitVector& operator-=(const BitVector& other);  // set difference
+  /// ORs in num_words() raw words laid out as words() lays them out, e.g. a
+  /// Dfg row over the same nodes; their bits past size() must be zero.
+  BitVector& or_words(const std::uint64_t* row);
 
   friend bool operator==(const BitVector& a, const BitVector& b) {
     return a.size_ == b.size_ && a.words_ == b.words_;

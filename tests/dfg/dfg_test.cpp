@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+
+#include "core/search_tables.hpp"
+#include "core/single_cut.hpp"
 #include "dfg/collapse.hpp"
 #include "dfg/cut.hpp"
 #include "dfg/dot.hpp"
@@ -9,6 +15,7 @@
 #include "ir/builder.hpp"
 #include "ir/verifier.hpp"
 #include "passes/pipeline.hpp"
+#include "workloads/workload.hpp"
 
 namespace isex {
 namespace {
@@ -368,36 +375,151 @@ TEST(RandomDag, GeneratesValidGraphs) {
   }
 }
 
+/// The graphs the ClosureMasks checks read: random DAGs of one to eight
+/// row words, every registry block with and without ROM loads admitted, and
+/// each graph a CollapsedBlock passes through as Iterative fuses its best
+/// 4/2 cuts.
+const std::vector<Dfg>& row_check_graphs() {
+  static const std::vector<Dfg> graphs = [] {
+    std::vector<Dfg> out;
+    for (const int ops : {18, 60, 140, 300}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        RandomDagConfig cfg;
+        cfg.num_ops = ops;
+        cfg.seed = seed * 57 + 7;
+        out.push_back(random_dag(cfg));
+      }
+    }
+    Constraints constraints;
+    constraints.max_inputs = 4;
+    constraints.max_outputs = 2;
+    for (Workload& w : all_workloads()) {
+      w.preprocess();
+      for (const bool rom : {false, true}) {
+        DfgOptions options;
+        options.allow_rom_loads = rom;
+        for (const Dfg& block : w.extract_dfgs(options)) {
+          out.push_back(block);
+          CollapsedBlock collapsed(block);
+          for (int round = 0; round < 4; ++round) {
+            const BitVector cut = find_best_cut(collapsed.graph(), kLat, constraints).cut;
+            if (!cut.any()) break;
+            collapsed.collapse(cut, "isex" + std::to_string(round));
+            out.push_back(collapsed.graph());
+          }
+        }
+      }
+    }
+    return out;
+  }();
+  return graphs;
+}
+
+/// Whether `row` holds exactly the set `expected`. A BitVector's bits past
+/// its size are zero, so this also checks the row's tail.
+bool row_is(const std::uint64_t* row, const BitVector& expected) {
+  return std::equal(row, row + expected.num_words(), expected.words());
+}
+
 TEST(ClosureMasks, AdjacencyMasksMatchTheEdgeLists) {
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    RandomDagConfig cfg;
-    cfg.num_ops = 18;
-    cfg.seed = seed * 57 + 7;
-    const Dfg g = random_dag(cfg);
-    for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-      const NodeId n{static_cast<std::uint32_t>(i)};
-      const DfgNode& node = g.node(n);
-      BitVector data_succs(g.num_nodes()), data_preds(g.num_nodes());
+  for (const Dfg& g : row_check_graphs()) {
+    const std::size_t n = g.num_nodes();
+    ASSERT_EQ(g.row_words(), (n + 63) / 64) << g.name();
+    for (std::size_t i = 0; i < n; ++i) {
+      const DfgNode& node = g.node(NodeId{i});
+      BitVector desc(n), data_succs(n);
+      std::deque<NodeId> frontier(node.succs.begin(), node.succs.end());
+      while (!frontier.empty()) {
+        const NodeId v = frontier.front();
+        frontier.pop_front();
+        if (desc.test(v.index)) continue;
+        desc.set(v.index);
+        for (const NodeId s : g.node(v).succs) frontier.push_back(s);
+      }
       for (std::size_t j = 0; j < node.succs.size(); ++j) {
         if (node.succ_is_data[j]) data_succs.set(node.succs[j].index);
       }
-      for (std::size_t j = 0; j < node.preds.size(); ++j) {
-        if (node.pred_is_data[j]) data_preds.set(node.preds[j].index);
-      }
-      EXPECT_EQ(g.data_succ_mask(n), data_succs) << "seed " << seed << " node " << i;
-      EXPECT_EQ(g.data_pred_mask(n), data_preds) << "seed " << seed << " node " << i;
+      EXPECT_TRUE(row_is(g.desc_row(NodeId{i}), desc))
+          << g.name() << " node " << i << " descendants " << desc.to_string();
+      EXPECT_TRUE(row_is(g.data_succ_row(NodeId{i}), data_succs))
+          << g.name() << " node " << i << " data successors " << data_succs.to_string();
     }
   }
 }
 
 TEST(ClosureMasks, RawWordsMirrorTheBitApi) {
-  const Fig4 f;
-  for (std::size_t i = 0; i < f.g.num_nodes(); ++i) {
-    const BitVector& row = f.g.descendants(NodeId{static_cast<std::uint32_t>(i)});
-    ASSERT_EQ(row.num_words(), (f.g.num_nodes() + 63) / 64);
-    for (std::size_t b = 0; b < row.size(); ++b) {
-      EXPECT_EQ(row.test(b), (row.words()[b >> 6] >> (b & 63) & 1) != 0)
-          << "node " << i << " bit " << b;
+  for (const Dfg& g : row_check_graphs()) {
+    for (std::size_t a = 0; a < g.num_nodes(); ++a) {
+      const std::uint64_t* row = g.desc_row(NodeId{a});
+      for (std::size_t b = 0; b < g.num_nodes(); ++b) {
+        const bool bit = (row[b >> 6] >> (b & 63) & 1) != 0;
+        if (g.reaches(NodeId{a}, NodeId{b}) != bit) {
+          ADD_FAILURE() << g.name() << ": reaches(" << a << ", " << b << ") disagrees";
+        }
+      }
+    }
+  }
+}
+
+TEST(ClosureMasks, InputCsrListsTheCountableDataPredecessors) {
+  Dfg edges;
+  const NodeId in = edges.add_input("in");
+  const NodeId c7 = edges.add_constant(7);
+  const NodeId load = edges.add_forbidden_op(Opcode::load);
+  const NodeId store = edges.add_forbidden_op(Opcode::store);
+  const NodeId add = edges.add_op(Opcode::add);
+  const NodeId mul = edges.add_op(Opcode::mul);
+  edges.add_edge(in, add);
+  edges.add_edge(in, add);  // deduplicated
+  edges.add_edge(c7, add);  // hardwired
+  edges.add_edge(load, mul, /*order_only=*/true);
+  edges.add_edge(load, mul);  // the data edge absorbs the ordering edge
+  edges.add_edge(add, mul);
+  edges.add_edge(load, store, /*order_only=*/true);
+  edges.add_output(mul);
+  edges.finalize();
+  {
+    const SearchTables t = SearchTables::build(edges, kLat);
+    const auto inputs_of = [&](NodeId n) {
+      std::vector<std::pair<std::uint32_t, std::uint8_t>> list;
+      for (std::uint32_t j = t.in_off[n.index]; j < t.in_off[n.index + 1]; ++j) {
+        list.emplace_back(t.in_node[j], t.in_perm[j]);
+      }
+      return list;
+    };
+    using List = std::vector<std::pair<std::uint32_t, std::uint8_t>>;
+    EXPECT_EQ(inputs_of(add), (List{{in.index, 1}}));
+    EXPECT_EQ(inputs_of(mul), (List{{load.index, 1}, {add.index, 0}}));
+    EXPECT_EQ(inputs_of(store), List{});
+  }
+
+  std::vector<const Dfg*> graphs{&edges};
+  for (const Dfg& g : row_check_graphs()) graphs.push_back(&g);
+  for (const Dfg* g : graphs) {
+    const std::size_t n = g->num_nodes();
+    const SearchTables t = SearchTables::build(*g, kLat);
+    EXPECT_EQ(t.desc_rows, g->desc_row(NodeId{0u})) << g->name() << ": rows are borrowed";
+    EXPECT_EQ(t.data_succ_rows, g->data_succ_row(NodeId{0u})) << g->name();
+    // Expected from the producers' successor lists: node -> producer -> permanent.
+    std::vector<std::map<std::uint32_t, std::uint8_t>> expected(n);
+    for (std::size_t p = 0; p < n; ++p) {
+      const DfgNode& producer = g->node(NodeId{p});
+      if (producer.kind == NodeKind::constant) continue;
+      const bool permanent = producer.kind == NodeKind::input || producer.forbidden;
+      for (std::size_t k = 0; k < producer.succs.size(); ++k) {
+        if (producer.succ_is_data[k]) {
+          expected[producer.succs[k].index][static_cast<std::uint32_t>(p)] = permanent ? 1 : 0;
+        }
+      }
+    }
+    ASSERT_EQ(t.in_off.size(), n + 1) << g->name();
+    for (std::size_t i = 0; i < n; ++i) {
+      std::map<std::uint32_t, std::uint8_t> listed;
+      for (std::uint32_t j = t.in_off[i]; j < t.in_off[i + 1]; ++j) {
+        listed[t.in_node[j]] = t.in_perm[j];
+      }
+      EXPECT_EQ(t.in_off[i + 1] - t.in_off[i], listed.size()) << g->name() << " node " << i;
+      EXPECT_EQ(listed, expected[i]) << g->name() << " node " << i;
     }
   }
 }
