@@ -197,19 +197,6 @@ void ResultCache::store_dfgs(const std::string& workload, const DfgOptions& opti
   }
 }
 
-void ResultCache::invalidate_workload(const std::string& workload) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::string prefix = workload + '\x1f';
-  for (auto it = dfgs_.begin(); it != dfgs_.end();) {
-    if (it->first.compare(0, prefix.size(), prefix) == 0) {
-      dfg_lru_.erase(it->second.lru);
-      it = dfgs_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 std::optional<LoadedText> ResultCache::lookup_text(const TextDigest& digest) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = texts_.find(digest);

@@ -10,12 +10,13 @@
 // one Explorer therefore pay the exponential enumeration cost once per
 // distinct key instead of once per request.
 //
-// The extraction cache keys on (workload name, DfgOptions) and remembers the
-// profiled, frequency-weighted block graphs plus the measured base cycle
-// count, so one Explorer never re-profiles an unchanged workload. Because
-// the word-parallel closure bitsets (descendant rows, adjacency masks)
-// live inside the finalized Dfg, a snapshot hit also reuses them —
-// repeated identification over a cached graph never recomputes a closure. Rewriting
+// The extraction cache keys on (workload key, DfgOptions) — the Explorer
+// passes Workload::cache_key(), so a key names the module's content — and
+// remembers the profiled, frequency-weighted block graphs plus the measured
+// base cycle count, so one Explorer never re-profiles an unchanged
+// workload. Because the closure rows (descendants, data successors) live
+// inside the finalized Dfg, a snapshot hit also reuses them — repeated
+// identification over a cached graph never recomputes a closure. Rewriting
 // requests bypass it entirely (a rewrite mutates the module the graphs were
 // extracted from; the cached pristine extraction stays valid for future
 // by-name requests).
@@ -123,12 +124,6 @@ class ResultCache {
   void store_dfgs(const std::string& workload, const DfgOptions& options,
                   std::shared_ptr<const std::vector<Dfg>> graphs, double base_cycles,
                   CacheCounters* local = nullptr);
-  /// Drops every extraction of `workload` (all DfgOptions variants). The
-  /// Explorer itself never needs this — rewrites bypass the cache via the
-  /// Workload::mutated() guard and by-name requests always build pristine
-  /// instances — but callers who mutate a module out-of-band (directly,
-  /// without the rewrite pipeline) use it to purge the stale entries.
-  void invalidate_workload(const std::string& workload);
 
   // --- load memo -----------------------------------------------------------
   // Holds at most max_dfg_entries documents, since a mapping only helps

@@ -429,7 +429,7 @@ TEST(ExplorerCache, RewriteBypassesTheExtractionCacheButKeepsPristineEntries) {
   EXPECT_EQ(after.total_merit, plain.total_merit);
 }
 
-TEST(ResultCache, InvalidateWorkloadDropsAllOptionVariants) {
+TEST(ResultCache, OptionVariantsOfOneKeyAreSeparateEntries) {
   ResultCache cache;
   double base = 0.0;
   DfgOptions plain;
@@ -439,10 +439,8 @@ TEST(ResultCache, InvalidateWorkloadDropsAllOptionVariants) {
   cache.store_dfgs("kernel", rom, std::make_shared<const std::vector<Dfg>>(), 100.0);
   cache.store_dfgs("other", plain, std::make_shared<const std::vector<Dfg>>(), 7.0);
   EXPECT_EQ(cache.num_dfg_entries(), 3u);
-  cache.invalidate_workload("kernel");
-  EXPECT_EQ(cache.num_dfg_entries(), 1u);
-  EXPECT_EQ(cache.lookup_dfgs("kernel", plain, &base), nullptr);
-  EXPECT_EQ(cache.lookup_dfgs("kernel", rom, &base), nullptr);
+  EXPECT_NE(cache.lookup_dfgs("kernel", plain, &base), nullptr);
+  EXPECT_NE(cache.lookup_dfgs("kernel", rom, &base), nullptr);
   ASSERT_NE(cache.lookup_dfgs("other", plain, &base), nullptr);
   EXPECT_EQ(base, 7.0);
 }
