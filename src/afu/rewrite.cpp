@@ -1,7 +1,8 @@
 #include "afu/rewrite.hpp"
 
-#include <algorithm>
+#include <functional>
 #include <map>
+#include <queue>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -65,20 +66,20 @@ void rewrite_one(Module& module, Function& fn, BlockId block,
       ++in_deg[group[s.index]];
     }
   }
-  // Deterministic Kahn: smallest vertex id first (kSuper sorts last, which
-  // is fine — it only needs a valid topological slot).
-  std::vector<std::uint32_t> ready;
+  // Deterministic Kahn: smallest ready vertex id first, from a min-heap
+  // (kSuper comes last, which is fine — it only needs a valid topological
+  // slot).
+  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>, std::greater<>> ready;
   for (const std::uint32_t v : vertex_ids) {
-    if (in_deg[v] == 0) ready.push_back(v);
+    if (in_deg[v] == 0) ready.push(v);
   }
   std::vector<std::uint32_t> quotient_order;
   while (!ready.empty()) {
-    std::sort(ready.begin(), ready.end(), std::greater<>());
-    const std::uint32_t v = ready.back();
-    ready.pop_back();
+    const std::uint32_t v = ready.top();
+    ready.pop();
     quotient_order.push_back(v);
     for (const std::uint32_t s : succs[v]) {
-      if (--in_deg[s] == 0) ready.push_back(s);
+      if (--in_deg[s] == 0) ready.push(s);
     }
   }
   ISEX_CHECK(quotient_order.size() == vertex_ids.size(),
