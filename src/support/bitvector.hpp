@@ -49,8 +49,8 @@ class BitVector {
   BitVector& operator|=(const BitVector& other);
   BitVector& operator&=(const BitVector& other);
   BitVector& operator-=(const BitVector& other);  // set difference
-  /// ORs in num_words() raw words laid out as words() lays them out, e.g. a
-  /// Dfg row over the same nodes; their bits past size() must be zero.
+  /// ORs in num_words() raw words in the layout of words(), e.g. a Dfg row
+  /// over the same nodes; their bits past size() must be zero.
   BitVector& or_words(const std::uint64_t* row);
 
   friend bool operator==(const BitVector& a, const BitVector& b) {
@@ -74,9 +74,9 @@ class BitVector {
   std::vector<std::size_t> set_bits() const;
 
   /// Raw little-endian 64-bit words backing the vector (bit i lives at word
-  /// i/64, bit i%64). Tail bits beyond size() are always zero. The
-  /// enumeration engines read closure rows through this to turn per-edge
-  /// scans into a handful of unchecked AND/ANDNOT word operations.
+  /// i/64, bit i%64). Tail bits beyond size() are always zero. A Dfg's
+  /// closure rows share this layout, so a cut's words AND against them
+  /// directly.
   const std::uint64_t* words() const { return words_.data(); }
   std::size_t num_words() const { return words_.size(); }
 
